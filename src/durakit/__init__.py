@@ -40,11 +40,9 @@ from .latency import (
     expected_latency_replication,
 )
 from .placement import (
-    CatalogEstimate,
     Placement,
     Topology,
     balanced_placement,
-    catalog_capacity,
     ec_unavailability,
     min_overhead_for_availability,
     placement_unavailability,
@@ -60,7 +58,6 @@ from .probability import (
     gaussian_tail_loss,
     parity_needed,
     prob_any_failure,
-    prob_any_failure_approx,
     prob_loss_ec,
     prob_loss_replication,
     redundancy_factor,

@@ -23,16 +23,12 @@ import click
 
 from .codec import (
     LRC_6_2_2,
-    LrcScheme,
-    lrc_decode,
-    lrc_encode,
     read_fragment,
     recoverability_report,
     repair_plan,
-    rs_decode,
-    rs_encode,
     write_fragment,
 )
+from .codec.linear import code_of, encode, solve
 from .errors import (
     ChecksumError,
     InconsistentFragmentsError,
@@ -465,15 +461,11 @@ def codec():
 def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Path):
     """Encode a file into one fragment file per index."""
     scheme = parse_scheme(scheme_text)
-    data = input_file.read_bytes()
-    if isinstance(scheme, ReplicationScheme):
-        scheme = ErasureScheme(1, scheme.k - 1)
-    if isinstance(scheme, ErasureScheme):
-        fragments = rs_encode(data, scheme.m, scheme.n)
-    elif isinstance(scheme, LrcScheme):
-        fragments = lrc_encode(data)
-    else:
-        raise click.UsageError(f"cannot encode with scheme {scheme.label}")
+    try:
+        code = code_of(scheme)
+    except TypeError:
+        raise click.UsageError(f"cannot encode with scheme {scheme.label}") from None
+    fragments = encode(code, input_file.read_bytes(), None)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -499,15 +491,12 @@ def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Pat
 def codec_decode(settings: Settings, fragment_files, out_file: Path):
     """Reconstruct a file from any sufficient subset of its fragment files."""
     fragments = [read_fragment(path) for path in fragment_files]
-    if isinstance(fragments[0].scheme, LrcScheme):
-        data = lrc_decode(fragments)
-    else:
-        data = rs_decode(fragments)
+    data, used = solve(code_of(fragments[0].scheme), fragments)
     out_file.write_bytes(data)
     _emit(settings, {
         "output": str(out_file),
         "bytes": len(data),
-        "fragments_used": len(fragments),
+        "fragments_used": len(used),
     })
 
 

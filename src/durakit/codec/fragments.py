@@ -80,18 +80,15 @@ class Fragment:
 
     @property
     def role(self) -> FragmentRole:
-        if isinstance(self.scheme, ErasureScheme):
-            return (
-                FragmentRole.DATA
-                if self.index < self.scheme.m
-                else FragmentRole.GLOBAL_PARITY
-            )
-        # LRC layout: 0-5 data, 6-7 local parities, 8-9 global parities
-        if self.index < 6:
+        """The first k rows are data; a parity row with a zero is local, else global."""
+        from .linear import code_of  # deferred: the codec core builds on Fragment
+
+        code = code_of(self.scheme)
+        if self.index < code.k:
             return FragmentRole.DATA
-        if self.index < 8:
-            return FragmentRole.LOCAL_PARITY
-        return FragmentRole.GLOBAL_PARITY
+        if all(code.rows[self.index]):
+            return FragmentRole.GLOBAL_PARITY
+        return FragmentRole.LOCAL_PARITY
 
     def verify_checksum(self) -> None:
         actual = zlib.crc32(self.payload)

@@ -15,19 +15,10 @@ structure: the remaining 30 patterns are information-theoretically lost.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 
-import numpy as np
-
-from ..errors import (
-    InconsistentFragmentsError,
-    InsufficientFragmentsError,
-    UnrecoverableError,
-)
-from . import gf256
+from . import gf256, linear
 from .fragments import Fragment
 
 DATA_COUNT = 6
@@ -86,113 +77,24 @@ def generator_rows() -> list[list[int]]:
     return rows
 
 
+#: Per fragment, the fragments that rebuild it without a general solve: the
+#: rest of its group, or all six data shards for a global parity.
+LOCAL_REPAIR_SETS = (
+    (1, 2, 6), (0, 2, 6), (0, 1, 6), (4, 5, 7), (3, 5, 7), (3, 4, 7),
+    (0, 1, 2), (3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5),
+)
+
+
 def lrc_encode(data: bytes, object_id: bytes | None = None) -> list[Fragment]:
     """Encode an object into the ten 6+2+2 fragments."""
-    if not data:
-        raise ValueError("cannot encode an empty object")
-    if object_id is None:
-        object_id = hashlib.sha256(data).digest()[:16]
-
-    size = -(-len(data) // DATA_COUNT)
-    padded = np.zeros(DATA_COUNT * size, dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    shards = padded.reshape(DATA_COUNT, size)
-
-    payloads = [shards[j] for j in range(DATA_COUNT)]
-    for group in LOCAL_GROUPS:
-        acc = np.zeros(size, dtype=np.uint8)
-        for j in group:
-            np.bitwise_xor(acc, shards[j], out=acc)
-        payloads.append(acc)
-    for coeffs in GLOBAL_COEFFS:
-        acc = np.zeros(size, dtype=np.uint8)
-        for j, coeff in enumerate(coeffs):
-            gf256.addmul_bytes(acc, coeff, shards[j])
-        payloads.append(acc)
-
-    return [
-        Fragment(object_id, LRC_6_2_2, i, payloads[i].tobytes(), len(data))
-        for i in range(TOTAL_FRAGMENTS)
-    ]
+    return linear.encode(linear.code_of(LRC_6_2_2), data, object_id)
 
 
 def lrc_recoverable(failure_set: Iterable[int]) -> bool:
     """Whether the fragments outside ``failure_set`` determine all six data shards."""
-    failed = set(failure_set)
-    for index in failed:
-        if not 0 <= index < TOTAL_FRAGMENTS:
-            raise ValueError(f"index {index} outside 0..{TOTAL_FRAGMENTS - 1}")
-    rows = generator_rows()
-    surviving = [rows[i] for i in range(TOTAL_FRAGMENTS) if i not in failed]
-    return gf256.matrix_rank(surviving, DATA_COUNT) == DATA_COUNT
-
-
-def four_failure_recoverable_count() -> int:
-    """Exhaustive count of recoverable four-fragment failure patterns."""
-    return sum(
-        lrc_recoverable(pattern)
-        for pattern in combinations(range(TOTAL_FRAGMENTS), 4)
-    )
+    return linear.recoverable(linear.code_of(LRC_6_2_2), failure_set)
 
 
 def lrc_decode(fragments: Iterable[Fragment]) -> bytes:
     """Reconstruct the object from any recoverable set of surviving fragments."""
-    from .rs import _collect  # shared validation
-
-    by_index = _collect(fragments, LrcScheme)
-    sample = next(iter(by_index.values()))
-    original_length = sample.original_length
-    size = sample.payload_len
-    if -(-original_length // DATA_COUNT) != size:
-        raise InconsistentFragmentsError(
-            f"shard length {size} does not match an object of "
-            f"{original_length} bytes split {DATA_COUNT} ways"
-        )
-
-    all_rows = generator_rows()
-    system = [
-        (list(all_rows[i]), np.frombuffer(f.payload, dtype=np.uint8).copy())
-        for i, f in sorted(by_index.items())
-    ]
-
-    # Gauss-Jordan over the coefficient rows, applying the same operations
-    # to the payload vectors; pivot row for column c ends up holding shard c.
-    pivots: dict[int, tuple[list[int], np.ndarray]] = {}
-    rank = 0
-    for col in range(DATA_COUNT):
-        pivot = next(
-            (i for i in range(rank, len(system)) if system[i][0][col]), None
-        )
-        if pivot is None:
-            continue
-        system[rank], system[pivot] = system[pivot], system[rank]
-        coeffs, payload = system[rank]
-        scale = gf256.inv(coeffs[col])
-        if scale != 1:
-            coeffs[:] = [gf256.mul(v, scale) for v in coeffs]
-            payload[:] = gf256.mul_bytes(scale, payload)
-        for i, (other, other_payload) in enumerate(system):
-            if i != rank and other[col]:
-                factor = other[col]
-                other[:] = [
-                    v ^ gf256.mul(factor, w) for v, w in zip(other, coeffs)
-                ]
-                gf256.addmul_bytes(other_payload, factor, payload)
-        pivots[col] = system[rank]
-        rank += 1
-        if rank == len(system):
-            break
-
-    if rank < DATA_COUNT:
-        missing = DATA_COUNT - rank
-        if len(by_index) < DATA_COUNT:
-            raise InsufficientFragmentsError(
-                f"only {len(by_index)} fragments survive; at least "
-                f"{DATA_COUNT} are required"
-            )
-        raise UnrecoverableError(
-            f"surviving fragments leave {missing} data shard(s) undetermined"
-        )
-
-    shards = [pivots[c][1] for c in range(DATA_COUNT)]
-    return b"".join(s.tobytes() for s in shards)[:original_length]
+    return linear.decode(fragments, mds=False)

@@ -6,10 +6,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from ..errors import UnrecoverableError
 from ..placement import Placement
-from ..probability import ErasureScheme, ReplicationScheme
-from . import gf256, lrc
+from . import linear
 
 
 @dataclass(frozen=True)
@@ -35,34 +33,24 @@ class RecoverabilityReport:
 def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
     """Fraction of failure patterns of each size 0..max_t that lose no data.
 
-    RS rows are analytic (all patterns up to n, none beyond); LRC rows come
-    from exhaustive rank tests over every pattern.
+    MDS rows are analytic (all patterns up to count-k losses, none beyond);
+    other codes take an exhaustive rank test over every pattern.
     """
-    total = getattr(scheme, "fragment_count", None)
-    if total is None:
-        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
-    if not 0 <= max_t <= total:
-        raise ValueError(f"max_t must be within 0..{total}, got {max_t}")
+    code = linear.code_of(scheme)
+    if not 0 <= max_t <= code.count:
+        raise ValueError(f"max_t must be within 0..{code.count}, got {max_t}")
 
     rows = []
-    if isinstance(scheme, lrc.LrcScheme):
-        for t in range(max_t + 1):
-            patterns = comb(total, t)
+    for t in range(max_t + 1):
+        patterns = comb(code.count, t)
+        if code.mds:
+            good = patterns if t <= code.count - code.k else 0
+        else:
             good = sum(
-                lrc.lrc_recoverable(pattern)
-                for pattern in combinations(range(total), t)
+                linear.recoverable(code, pattern)
+                for pattern in combinations(range(code.count), t)
             )
-            rows.append(RecoverabilityRow(t, patterns, good))
-    elif isinstance(scheme, (ErasureScheme, ReplicationScheme)):
-        # MDS threshold: fine with up to n (or k-1) losses, never beyond.
-        tolerance = scheme.n if isinstance(scheme, ErasureScheme) else scheme.k - 1
-        for t in range(max_t + 1):
-            patterns = comb(total, t)
-            rows.append(
-                RecoverabilityRow(t, patterns, patterns if t <= tolerance else 0)
-            )
-    else:
-        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+        rows.append(RecoverabilityRow(t, patterns, good))
     return RecoverabilityReport(scheme.label, tuple(rows))
 
 
@@ -81,19 +69,6 @@ class RepairPlan:
         return self.local_transfers + self.remote_transfers
 
 
-def _plan(placement: Placement, failed_index: int, sources: list[int]) -> RepairPlan:
-    failed_dc = placement.dc_of(failed_index)
-    dcs = tuple(placement.dc_of(s) for s in sources)
-    local = sum(dc == failed_dc for dc in dcs)
-    return RepairPlan(
-        failed_index=failed_index,
-        sources=tuple(sources),
-        source_dcs=dcs,
-        local_transfers=local,
-        remote_transfers=len(sources) - local,
-    )
-
-
 def repair_plan(
     placement: Placement, failed_index: int, unavailable: tuple[int, ...] = ()
 ) -> RepairPlan:
@@ -105,71 +80,17 @@ def repair_plan(
     three other members of its group and a global parity from all six data
     shards; degraded cases fall back to any spanning set of survivors.
     """
-    scheme = placement.scheme
-    count = scheme.fragment_count
-    if not 0 <= failed_index < count:
-        raise ValueError(f"failed_index {failed_index} outside 0..{count - 1}")
-    gone = {failed_index, *unavailable}
-    survivors = [i for i in range(count) if i not in gone]
+    code = linear.code_of(placement.scheme)
+    if not 0 <= failed_index < code.count:
+        raise ValueError(f"failed_index {failed_index} outside 0..{code.count - 1}")
+    sources = linear.repair_sources(code, placement, failed_index, unavailable)
     failed_dc = placement.dc_of(failed_index)
-
-    def same_dc_first(indices):
-        return sorted(indices, key=lambda i: (placement.dc_of(i) != failed_dc, i))
-
-    if isinstance(scheme, ReplicationScheme):
-        if not survivors:
-            raise UnrecoverableError("no surviving replica to copy from")
-        return _plan(placement, failed_index, same_dc_first(survivors)[:1])
-
-    if isinstance(scheme, ErasureScheme):
-        if len(survivors) < scheme.m:
-            raise UnrecoverableError(
-                f"need {scheme.m} fragments to rebuild, only "
-                f"{len(survivors)} survive"
-            )
-        return _plan(placement, failed_index, same_dc_first(survivors)[: scheme.m])
-
-    if isinstance(scheme, lrc.LrcScheme):
-        return _lrc_repair(placement, failed_index, survivors, same_dc_first)
-
-    raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
-
-
-def _lrc_repair(placement, failed_index, survivors, same_dc_first) -> RepairPlan:
-    survivor_set = set(survivors)
-    group = lrc.group_of(failed_index)
-    if group is not None:
-        members = [*lrc.LOCAL_GROUPS[group], lrc.LOCAL_PARITY_INDICES[group]]
-        others = [i for i in members if i != failed_index]
-        if all(i in survivor_set for i in others):
-            return _plan(placement, failed_index, others)
-    elif all(i in survivor_set for i in range(lrc.DATA_COUNT)):
-        return _plan(placement, failed_index, list(range(lrc.DATA_COUNT)))
-
-    # Degraded repair: accumulate survivors (same DC first) until the failed
-    # fragment's row is in their span, then drop any source that is not needed.
-    rows = lrc.generator_rows()
-    target = rows[failed_index]
-
-    def covers(indices):
-        base = [rows[i] for i in indices]
-        base_rank = gf256.matrix_rank(base, lrc.DATA_COUNT)
-        return (
-            gf256.matrix_rank(base + [target], lrc.DATA_COUNT) == base_rank
-        )
-
-    ordered = same_dc_first(survivors)
-    chosen: list[int] = []
-    for index in ordered:
-        chosen.append(index)
-        if covers(chosen):
-            break
-    else:
-        raise UnrecoverableError(
-            f"fragment {failed_index} cannot be rebuilt from the survivors"
-        )
-    for index in list(chosen):
-        trimmed = [i for i in chosen if i != index]
-        if trimmed and covers(trimmed):
-            chosen = trimmed
-    return _plan(placement, failed_index, chosen)
+    dcs = tuple(placement.dc_of(s) for s in sources)
+    local = sum(dc == failed_dc for dc in dcs)
+    return RepairPlan(
+        failed_index=failed_index,
+        sources=tuple(sources),
+        source_dcs=dcs,
+        local_transfers=local,
+        remote_transfers=len(sources) - local,
+    )

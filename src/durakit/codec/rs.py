@@ -9,27 +9,15 @@ the m=1 code produce literal replicas.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable
 
-import numpy as np
-
-from ..errors import (
-    InconsistentFragmentsError,
-    InsufficientFragmentsError,
-)
 from ..probability import ErasureScheme
-from . import gf256
+from . import gf256, linear
 from .fragments import MAX_TOTAL_FRAGMENTS, Fragment
 
-
-def derive_object_id(data: bytes) -> bytes:
-    """Content-addressed 16-byte object id."""
-    return hashlib.sha256(data).digest()[:16]
-
-
-def shard_length(object_length: int, m: int) -> int:
-    return -(-object_length // m)
+# re-exported: the object id and shard size are the same for every scheme
+derive_object_id = linear.derive_object_id
+shard_length = linear.shard_length
 
 
 def parity_matrix(m: int, n: int) -> list[list[int]]:
@@ -38,6 +26,10 @@ def parity_matrix(m: int, n: int) -> list[list[int]]:
     Data points are 0..m-1 and parity points m..m+n-1; the two sets are
     disjoint field elements, so 1/(x ^ y) is defined everywhere.
     """
+    if m + n > MAX_TOTAL_FRAGMENTS:
+        raise ValueError(
+            f"m+n must be <= {MAX_TOTAL_FRAGMENTS} over GF(256), got {m + n}"
+        )
     rows = []
     for i in range(n):
         x = m + i
@@ -51,109 +43,13 @@ def generator_matrix(m: int, n: int) -> list[list[int]]:
     return rows
 
 
-def _validate_params(m: int, n: int) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if m + n > MAX_TOTAL_FRAGMENTS:
-        raise ValueError(
-            f"m+n must be <= {MAX_TOTAL_FRAGMENTS} over GF(256), got {m + n}"
-        )
-
-
 def rs_encode(
     data: bytes, m: int, n: int, object_id: bytes | None = None
 ) -> list[Fragment]:
     """Split ``data`` into m shards and add n parity shards of the same size."""
-    _validate_params(m, n)
-    if not data:
-        raise ValueError("cannot encode an empty object")
-    if object_id is None:
-        object_id = derive_object_id(data)
-
-    size = shard_length(len(data), m)
-    padded = np.zeros(m * size, dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    shards = padded.reshape(m, size)
-
-    scheme = ErasureScheme(m, n)
-    fragments = [
-        Fragment(object_id, scheme, j, shards[j].tobytes(), len(data))
-        for j in range(m)
-    ]
-    for i, row in enumerate(parity_matrix(m, n)):
-        acc = np.zeros(size, dtype=np.uint8)
-        for j, coeff in enumerate(row):
-            gf256.addmul_bytes(acc, coeff, shards[j])
-        fragments.append(
-            Fragment(object_id, scheme, m + i, acc.tobytes(), len(data))
-        )
-    return fragments
-
-
-def _collect(fragments: Iterable[Fragment], expected_type) -> dict[int, Fragment]:
-    """Index fragments after consistency and checksum validation."""
-    fragments = list(fragments)
-    if not fragments:
-        raise InsufficientFragmentsError("no fragments supplied")
-    first = fragments[0]
-    if not isinstance(first.scheme, expected_type):
-        raise InconsistentFragmentsError(
-            f"expected {expected_type.__name__} fragments, got "
-            f"{type(first.scheme).__name__}"
-        )
-    by_index: dict[int, Fragment] = {}
-    for frag in fragments:
-        if frag.object_id != first.object_id:
-            raise InconsistentFragmentsError("fragments from different objects")
-        if frag.scheme != first.scheme:
-            raise InconsistentFragmentsError("fragments from different schemes")
-        if frag.original_length != first.original_length:
-            raise InconsistentFragmentsError("fragments disagree on object length")
-        if frag.payload_len != first.payload_len:
-            raise InconsistentFragmentsError(
-                f"fragment {frag.index} has length {frag.payload_len}, "
-                f"expected {first.payload_len}"
-            )
-        frag.verify_checksum()
-        by_index.setdefault(frag.index, frag)
-    return by_index
+    return linear.encode(linear.code_of(ErasureScheme(m, n)), data, object_id)
 
 
 def rs_decode(fragments: Iterable[Fragment]) -> bytes:
     """Reconstruct the original object from any m distinct fragments."""
-    by_index = _collect(fragments, ErasureScheme)
-    sample = next(iter(by_index.values()))
-    scheme: ErasureScheme = sample.scheme
-    m = scheme.m
-    original_length = sample.original_length
-
-    if shard_length(original_length, m) != sample.payload_len:
-        raise InconsistentFragmentsError(
-            f"shard length {sample.payload_len} does not match an object of "
-            f"{original_length} bytes split {m} ways"
-        )
-    if len(by_index) < m:
-        raise InsufficientFragmentsError(
-            f"need {m} distinct fragments to decode, have {len(by_index)}"
-        )
-
-    # Prefer data fragments: they decode by plain concatenation.
-    chosen = sorted(by_index, key=lambda i: (i >= m, i))[:m]
-    payloads = [
-        np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen
-    ]
-    if chosen == list(range(m)):
-        shards = payloads
-    else:
-        rows = generator_matrix(m, scheme.n)
-        inverse = gf256.matrix_invert([rows[i] for i in chosen])
-        size = sample.payload_len
-        shards = []
-        for r in range(m):
-            acc = np.zeros(size, dtype=np.uint8)
-            for j, coeff in enumerate(inverse[r]):
-                gf256.addmul_bytes(acc, coeff, payloads[j])
-            shards.append(acc)
-    return b"".join(s.tobytes() for s in shards)[:original_length]
+    return linear.decode(fragments, mds=True)

@@ -11,13 +11,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .probability import (
-    DiskFailureModel,
-    ErasureScheme,
-    ReplicationScheme,
-    _check_prob,
-    binomial_tail,
-)
+from .codec.linear import code_of
+from .probability import DiskFailureModel, _check_prob, binomial_tail
 
 #: Largest DC count for which the exact 2**d outage enumeration runs.
 DEFAULT_ENUMERATION_CAP = 6
@@ -75,15 +70,6 @@ class Placement:
 
     def max_dc(self) -> int:
         return max(self.assignment)
-
-
-@dataclass(frozen=True)
-class CatalogEstimate:
-    """How many fragment records fit in a given memory budget."""
-
-    memory_budget: int
-    record_size: int
-    max_fragments: int
 
 
 def balanced_placement(scheme, topology: Topology | int) -> Placement:
@@ -144,14 +130,13 @@ def ec_unavailability(
     number relative to the uncorrelated m+n tail.
     """
     scheme = placement.scheme
-    if not isinstance(scheme, ErasureScheme):
+    # replication lowers to the RS 1+(k-1) code rather than to itself
+    if code_of(scheme).scheme != scheme:
         raise TypeError(
             f"ec_unavailability needs an ErasureScheme placement, got "
             f"{type(scheme).__name__}"
         )
-    return _enumerated_unavailability(
-        model, topology, placement, scheme.m, enumeration_cap
-    )
+    return placement_unavailability(model, topology, placement, enumeration_cap)
 
 
 def placement_unavailability(
@@ -162,20 +147,17 @@ def placement_unavailability(
 ) -> float:
     """Unavailability of an arbitrary placement: EC needs m reachable, replication 1.
 
-    For a one-replica-per-DC replication placement this agrees with
-    replication_unavailability; unlike that operation it also covers
-    co-located replicas exactly.
+    Any k fragments of an MDS code (k = m, or 1 for replication) serve a
+    read; codes without that property are refused.  For a one-replica-per-DC
+    replication placement this agrees with replication_unavailability;
+    unlike that operation it also covers co-located replicas exactly.
     """
-    scheme = placement.scheme
-    if isinstance(scheme, ErasureScheme):
-        need = scheme.m
-    elif isinstance(scheme, ReplicationScheme):
-        need = 1
-    else:
+    code = code_of(placement.scheme)
+    if not code.mds:
         raise TypeError(
-            f"unsupported scheme type: {type(scheme).__name__}"
+            f"unavailability needs an MDS code, got {placement.scheme.label}"
         )
-    return _enumerated_unavailability(model, topology, placement, need, enumeration_cap)
+    return _enumerated_unavailability(model, topology, placement, code.k, enumeration_cap)
 
 
 def _enumerated_unavailability(
@@ -225,16 +207,3 @@ def _prob_reachable_below(fragments_up: int, m: int, p_unavail: float) -> float:
         return 1.0
     # reachable < m  <=>  unavailable > fragments_up - m
     return binomial_tail(p_unavail, fragments_up, fragments_up - m)
-
-
-def catalog_capacity(memory_budget: int, record_size: int) -> CatalogEstimate:
-    """Fragment-catalog sizing: how many per-fragment records fit in memory."""
-    if record_size < 1:
-        raise ValueError(f"record_size must be >= 1 byte, got {record_size}")
-    if memory_budget < 0:
-        raise ValueError(f"memory_budget must be >= 0, got {memory_budget}")
-    return CatalogEstimate(
-        memory_budget=memory_budget,
-        record_size=record_size,
-        max_fragments=memory_budget // record_size,
-    )

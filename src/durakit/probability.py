@@ -243,14 +243,6 @@ def prob_any_failure(p: float, disks: int) -> float:
     return -math.expm1(disks * math.log1p(-p))
 
 
-def prob_any_failure_approx(p: float, disks: int) -> float:
-    """First-order approximation disks*p of prob_any_failure, valid for small p."""
-    _check_prob("p", p)
-    if disks < 1:
-        raise ValueError(f"disks must be >= 1, got {disks}")
-    return disks * p
-
-
 def gaussian_tail_loss(p: float, m: int, n: int, scale: int = 1) -> float:
     """Normal-approximation stand-in for the exact m+n loss tail.
 

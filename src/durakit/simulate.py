@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec.linear import code_of
 from .errors import RareEventError
 from .latency import LatencyProfile, expected_latency_replication
 from .placement import Placement, Topology, placement_unavailability
 from .probability import (
     DiskFailureModel,
     ErasureScheme,
-    ReplicationScheme,
     binomial_tail,
     prob_loss_ec,
 )
@@ -152,17 +152,12 @@ def simulate_availability(
     cover.
     """
     _check_run_params(trials, seed, threads)
-    scheme = placement.scheme
-    if isinstance(scheme, ErasureScheme):
-        need = scheme.m
-    elif isinstance(scheme, ReplicationScheme):
-        need = 1
-    else:
-        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
     try:
+        # raises TypeError for any scheme that is not an MDS code
         analytic = placement_unavailability(model, topology, placement)
     except ValueError:
         analytic = None  # beyond the exact enumeration cap
+    need = code_of(placement.scheme).k
     _guard_rare_event(analytic, trials)
 
     if placement.max_dc() >= topology.dc_count:

@@ -284,6 +284,20 @@ class TestCodecCommands:
         assert result.exit_code == 0
         assert out.read_bytes() == data
 
+    def test_fragments_used_counts_distinct_fragments_read(self, runner, tmp_path):
+        data, files = self.encode(runner, tmp_path, size=10_000)
+        out = tmp_path / "restored.bin"
+        # all eleven fragments plus a duplicate: only the eight data shards are read
+        result = invoke(runner, ["--format", "json", "codec", "decode", *files,
+                                 files[0], "--out", str(out)])
+        assert json.loads(result.output)["fragments_used"] == 8
+        assert out.read_bytes() == data
+        # data shard 0 lost, so one parity row is read in its place
+        result = invoke(runner, ["--format", "json", "codec", "decode", *files[1:],
+                                 files[9], "--out", str(out)])
+        assert json.loads(result.output)["fragments_used"] == 8
+        assert out.read_bytes() == data
+
     def test_insufficient_fragments_exit_4(self, runner, tmp_path):
         _, files = self.encode(runner, tmp_path)
         out = tmp_path / "restored.bin"

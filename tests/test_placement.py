@@ -6,7 +6,6 @@ from durakit.placement import (
     Placement,
     Topology,
     balanced_placement,
-    catalog_capacity,
     ec_unavailability,
     min_overhead_for_availability,
     placement_unavailability,
@@ -21,9 +20,6 @@ from durakit.probability import (
 )
 
 from oracles import enumerate_unavailability
-
-GiB = 1024**3
-KiB = 1024
 
 
 class TestMinOverhead:
@@ -219,23 +215,6 @@ class TestPlacementType:
     def test_scheme_without_fragment_count_rejected(self):
         with pytest.raises(TypeError):
             Placement("rep:3", (0, 0, 0))
-
-
-class TestCatalogCapacity:
-    def test_gigabyte_of_kilobyte_records(self):
-        estimate = catalog_capacity(GiB, KiB)
-        assert estimate.max_fragments == 2**20
-        assert 1e6 <= estimate.max_fragments <= 2e6  # order of a million
-
-    def test_budget_equals_record(self):
-        assert catalog_capacity(KiB, KiB).max_fragments == 1
-
-    def test_sixteen_gigabytes_of_small_records(self):
-        assert catalog_capacity(16 * GiB, 256).max_fragments == 2**26
-
-    def test_rejects_zero_record_size(self):
-        with pytest.raises(ValueError):
-            catalog_capacity(GiB, 0)
 
 
 class TestTopology:

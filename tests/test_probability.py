@@ -12,7 +12,6 @@ from durakit.probability import (
     gaussian_tail_loss,
     parity_needed,
     prob_any_failure,
-    prob_any_failure_approx,
     prob_loss_ec,
     prob_loss_replication,
     redundancy_factor,
@@ -208,14 +207,11 @@ class TestAnyFailure:
         assert prob_any_failure(0.1, 2) == pytest.approx(0.19, rel=1e-12)
 
     def test_approximation_small_p(self):
-        assert prob_any_failure_approx(0.005, 11) == pytest.approx(0.055)
         assert prob_any_failure(0.005, 11) == pytest.approx(0.055, rel=5e-2)
 
     def test_recoverable_failure_ratio_is_nearly_four(self):
         exact = prob_any_failure(0.005, 11) / prob_any_failure(0.005, 3)
         assert 3.5 < exact < 11 / 3
-        approx = prob_any_failure_approx(0.005, 11) / prob_any_failure_approx(0.005, 3)
-        assert approx == pytest.approx(11 / 3, rel=1e-12)
 
     def test_small_p_precision(self):
         # 1 - (1-p)**m loses everything if computed naively at p = 1e-12
