@@ -38,10 +38,13 @@ class LinearCode:
 
     scheme: object
     k: int
-    count: int
     mds: bool
     local_sets: tuple[tuple[int, ...], ...]
     build_rows: Callable[[], list[list[int]]] = field(repr=False)
+
+    @property
+    def count(self) -> int:
+        return self.scheme.fragment_count
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -63,13 +66,13 @@ def code_of(scheme) -> LinearCode:
         return code_of(ErasureScheme(1, scheme.k - 1))
     if isinstance(scheme, ErasureScheme):
         return LinearCode(
-            scheme, scheme.m, scheme.fragment_count, True, (),
-            lambda: rs.generator_matrix(scheme.m, scheme.n),
+            scheme, k=scheme.m, mds=True, local_sets=(),
+            build_rows=lambda: rs.generator_matrix(scheme.m, scheme.n),
         )
     if isinstance(scheme, lrc.LrcScheme):
         return LinearCode(
-            scheme, lrc.DATA_COUNT, lrc.TOTAL_FRAGMENTS, False,
-            lrc.LOCAL_REPAIR_SETS, lrc.generator_rows,
+            scheme, k=lrc.DATA_COUNT, mds=False, local_sets=lrc.LOCAL_REPAIR_SETS,
+            build_rows=lrc.generator_rows,
         )
     raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
