@@ -450,6 +450,14 @@ def codec():
     """Encode, decode, and analyze fragment files."""
 
 
+def _linear_code(scheme, action: str):
+    """The linear code of a scheme; a scheme without one is a usage error."""
+    try:
+        return code_of(scheme)
+    except TypeError:
+        raise click.UsageError(f"cannot {action} scheme {scheme.label}") from None
+
+
 @codec.command("encode")
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--scheme", "scheme_text", required=True,
@@ -460,11 +468,7 @@ def codec():
 @_translate_errors
 def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Path):
     """Encode a file into one fragment file per index."""
-    scheme = parse_scheme(scheme_text)
-    try:
-        code = code_of(scheme)
-    except TypeError:
-        raise click.UsageError(f"cannot encode with scheme {scheme.label}") from None
+    code = _linear_code(parse_scheme(scheme_text), "encode with")
     fragments = encode(code, input_file.read_bytes(), None)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,6 +513,7 @@ def codec_decode(settings: Settings, fragment_files, out_file: Path):
 def codec_report(settings: Settings, scheme_text, max_t):
     """Recoverable fraction of every failure pattern size up to max-t."""
     scheme = parse_scheme(scheme_text)
+    _linear_code(scheme, "report on")
     report = recoverability_report(scheme, max_t)
     rows = [
         {

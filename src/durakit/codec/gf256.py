@@ -39,10 +39,6 @@ MUL_TABLE.setflags(write=False)
 INV_TABLE = tuple(EXP[255 - LOG[a]] if a else 0 for a in range(256))
 
 
-def add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -53,14 +49,6 @@ def inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
     return INV_TABLE[a]
-
-
-def div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by 0 in GF(256)")
-    if a == 0:
-        return 0
-    return EXP[LOG[a] + 255 - LOG[b]]
 
 
 def mul_bytes(coeff: int, data: np.ndarray) -> np.ndarray:
@@ -82,11 +70,26 @@ def addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
         np.bitwise_xor(acc, MUL_TABLE[coeff][data], out=acc)
 
 
-def matrix_rank(rows: list[list[int]], cols: int) -> int:
-    """Rank of a matrix over GF(256) by Gaussian elimination."""
+def combine(coeffs, sources) -> np.ndarray:
+    """Sum of coeffs[i] * sources[i] over equal-length uint8 arrays."""
+    acc = np.zeros(len(sources[0]), dtype=np.uint8)
+    for coeff, source in zip(coeffs, sources):
+        addmul_bytes(acc, coeff, source)
+    return acc
+
+
+def row_reduce(rows, cols: int) -> list[list[int]]:
+    """Gauss-Jordan elimination on the first ``cols`` columns; later ones ride along.
+
+    Returns the pivot rows in pivot-column order, each scaled to a leading 1
+    and zero in every other pivot column.  Their count is the rank of the
+    first ``cols`` columns.
+    """
     work = [list(r) for r in rows]
     rank = 0
     for c in range(cols):
+        if rank == len(work):
+            break
         pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
@@ -98,24 +101,20 @@ def matrix_rank(rows: list[list[int]], cols: int) -> int:
                 f = work[i][c]
                 work[i] = [v ^ mul(f, w) for v, w in zip(work[i], work[rank])]
         rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return work[:rank]
+
+
+def matrix_rank(rows: list[list[int]], cols: int) -> int:
+    """Rank of a matrix over GF(256)."""
+    return len(row_reduce(rows, cols))
 
 
 def matrix_invert(rows: list[list[int]]) -> list[list[int]]:
     """Inverse of a square matrix over GF(256); raises on singular input."""
     size = len(rows)
-    work = [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(rows)]
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if work[i][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(256)")
-        work[c], work[pivot] = work[pivot], work[c]
-        scale = inv(work[c][c])
-        work[c] = [mul(v, scale) for v in work[c]]
-        for i in range(size):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [v ^ mul(f, w) for v, w in zip(work[i], work[c])]
-    return [r[size:] for r in work]
+    reduced = row_reduce(
+        [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(rows)], size
+    )
+    if len(reduced) < size:
+        raise ValueError("matrix is singular over GF(256)")
+    return [r[size:] for r in reduced]

@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from operator import xor
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,11 +100,7 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     shards = padded.reshape(k, size)
 
     payloads = [shards[j].tobytes() for j in range(k)]
-    for row in rows[k:]:
-        acc = np.zeros(size, dtype=np.uint8)
-        for j, coeff in enumerate(row):
-            gf256.addmul_bytes(acc, coeff, shards[j])
-        payloads.append(acc.tobytes())
+    payloads += [gf256.combine(row, shards).tobytes() for row in rows[k:]]
     return [
         Fragment(object_id, code.scheme, i, payload, len(data))
         for i, payload in enumerate(payloads)
@@ -143,10 +138,10 @@ def solve(
 ) -> tuple[bytes, tuple[int, ...]]:
     """Reconstruct the object; also return the fragment indices actually read.
 
-    Surviving data shards are used as read.  Only the e missing data columns are
-    solved for, from e surviving parity rows that are independent on those
-    columns: for an MDS code any e of them, otherwise the first e in index
-    order that raise the rank.
+    Surviving data shards are used as read.  Only the e missing data columns
+    are solved for, by one row reduction over the candidate parity rows: for
+    an MDS code the first e survivors, otherwise all of them.  The parities
+    it gives a nonzero coefficient are the ones read.
     """
     fragments = list(fragments)
     if not fragments:
@@ -166,39 +161,34 @@ def solve(
     known = list(shards)
     missing = [j for j in range(k) if j not in by_index]
     e = len(missing)
-    chosen: list[int] = []
+    used = list(known)
     if missing:
         rows = code.rows
         parity = [i for i in sorted(by_index) if i >= k]
-
-        def restricted(indices):
-            return [[rows[i][j] for j in missing] for i in indices]
-
         if code.mds:
-            chosen = parity[:e]
-        else:
-            for i in parity:
-                if gf256.matrix_rank(restricted([*chosen, i]), e) > len(chosen):
-                    chosen.append(i)
-            if len(chosen) < e:
-                raise UnrecoverableError(
-                    f"surviving fragments leave {e - len(chosen)} data shard(s) "
-                    "undetermined"
-                )
-        # parity = A x_missing + C x_known, so x_missing = A^-1 parity + A^-1 C x_known
-        inverse = gf256.matrix_invert(restricted(chosen))
-        sources = [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen]
-        sources += [shards[j] for j in known]
-        for r, j in enumerate(missing):
-            coeffs = [*inverse[r]] + [
-                reduce(xor, map(gf256.mul, inverse[r], [rows[i][c] for i in chosen]))
-                for c in known
-            ]
-            shards[j] = np.zeros(fragments[0].payload_len, dtype=np.uint8)
-            for coeff, source in zip(coeffs, sources):
-                gf256.addmul_bytes(shards[j], coeff, source)
+            parity = parity[:e]  # any e parity rows of an MDS code will do
+        # parity_i = A_i x_missing + C_i x_known, so reducing [A | C | I] on
+        # the A block gives x_missing = C' x_known + U' parity (char 2)
+        system = [
+            [rows[i][j] for j in missing]
+            + [rows[i][j] for j in known]
+            + [int(i == t) for t in parity]
+            for i in parity
+        ]
+        reduced = gf256.row_reduce(system, e)
+        if len(reduced) < e:
+            raise UnrecoverableError(
+                f"surviving fragments leave {e - len(reduced)} data shard(s) "
+                "undetermined"
+            )
+        sources = [shards[j] for j in known]
+        sources += [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in parity]
+        for j, row in zip(missing, reduced):
+            shards[j] = gf256.combine(row[e:], sources)
+        units = [row[e + len(known):] for row in reduced]
+        used += [i for t, i in enumerate(parity) if any(u[t] for u in units)]
     data = b"".join(shards[j] for j in range(k))[: fragments[0].original_length]
-    return data, (*known, *chosen)
+    return data, tuple(used)
 
 
 def decode(fragments: Iterable[Fragment], mds: bool) -> bytes:

@@ -24,7 +24,6 @@ from .fragments import Fragment
 DATA_COUNT = 6
 TOTAL_FRAGMENTS = 10
 LOCAL_GROUPS = ((0, 1, 2), (3, 4, 5))
-LOCAL_PARITY_INDICES = (6, 7)
 GLOBAL_PARITY_INDICES = (8, 9)
 
 GLOBAL_COEFFS = (
@@ -54,17 +53,6 @@ class LrcScheme:
 
 
 LRC_6_2_2 = LrcScheme()
-
-
-def group_of(index: int) -> int | None:
-    """Local group an index belongs to, or None for global parities."""
-    if index in (0, 1, 2, 6):
-        return 0
-    if index in (3, 4, 5, 7):
-        return 1
-    if index in GLOBAL_PARITY_INDICES:
-        return None
-    raise ValueError(f"index {index} outside 0..{TOTAL_FRAGMENTS - 1}")
 
 
 def generator_rows() -> list[list[int]]:

@@ -120,7 +120,6 @@ def ec_unavailability(
     model: DiskFailureModel,
     topology: Topology,
     placement: Placement,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Probability fewer than m fragments are reachable, exact over DC outage states.
 
@@ -136,14 +135,13 @@ def ec_unavailability(
             f"ec_unavailability needs an ErasureScheme placement, got "
             f"{type(scheme).__name__}"
         )
-    return placement_unavailability(model, topology, placement, enumeration_cap)
+    return placement_unavailability(model, topology, placement)
 
 
 def placement_unavailability(
     model: DiskFailureModel,
     topology: Topology,
     placement: Placement,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Unavailability of an arbitrary placement: EC needs m reachable, replication 1.
 
@@ -157,7 +155,7 @@ def placement_unavailability(
         raise TypeError(
             f"unavailability needs an MDS code, got {placement.scheme.label}"
         )
-    return _enumerated_unavailability(model, topology, placement, code.k, enumeration_cap)
+    return _enumerated_unavailability(model, topology, placement, code.k)
 
 
 def _enumerated_unavailability(
@@ -165,12 +163,11 @@ def _enumerated_unavailability(
     topology: Topology,
     placement: Placement,
     need: int,
-    enumeration_cap: int,
 ) -> float:
     d = topology.dc_count
-    if d > enumeration_cap:
+    if d > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"exact enumeration capped at {enumeration_cap} data centers "
+            f"exact enumeration capped at {DEFAULT_ENUMERATION_CAP} data centers "
             f"(got {d}); use the Monte Carlo simulator beyond that"
         )
     if placement.max_dc() >= d:

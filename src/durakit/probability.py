@@ -19,6 +19,10 @@ DEFAULT_PARITY_CAP = 64
 # to avoid underflow in the p**i factors.
 _LOG_TERM_THRESHOLD = 1e-4
 
+# From this total on, C(total, total // 2) exceeds the float range, so the
+# direct product would overflow; those tails are also formed in log space.
+_LOG_TERM_MIN_TOTAL = 1030
+
 # Log-ratio solutions closer than this to an integer are re-checked by
 # direct powering instead of trusting the floating-point ceiling.
 _INTEGER_GUARD = 1e-9
@@ -125,7 +129,8 @@ def binomial_tail(p: float, total: int, threshold: int) -> float:
 
     Terms are accumulated from the largest index downward with exact
     summation; for very small p each term is formed in log space so the
-    result stays accurate down to p = 1e-6 and total = 64.
+    result stays accurate down to p = 1e-6 and total = 64, and so is every
+    term once the binomial coefficients outgrow a float.
     """
     _check_prob("p", p)
     if total < 1:
@@ -143,7 +148,7 @@ def binomial_tail(p: float, total: int, threshold: int) -> float:
         # n=k-1 bit-identical to p**k
         return p**total
 
-    if p < _LOG_TERM_THRESHOLD:
+    if p < _LOG_TERM_THRESHOLD or total >= _LOG_TERM_MIN_TOTAL:
         log_p = math.log(p)
         log_q = math.log1p(-p)
         terms = [

@@ -12,6 +12,7 @@ by (seed, chunk index), and per-chunk partials are reduced in chunk order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -67,12 +68,18 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
+def _worker_count(threads: int, chunks: int) -> int:
+    """Threads worth starting: no more than there are chunks or CPUs."""
+    return min(threads, chunks, os.cpu_count() or 1)
+
+
 def _run_chunks(trials: int, threads: int, worker):
     """Apply worker(chunk_index, chunk_size) to every chunk, in chunk order."""
     sizes = _chunk_sizes(trials)
-    if threads == 1 or len(sizes) == 1:
+    workers = _worker_count(threads, len(sizes))
+    if workers == 1:
         return [worker(i, size) for i, size in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 

@@ -75,6 +75,15 @@ class TestPlan:
         assert result.exit_code == 3
         assert "error" in result.output or result.exit_code == 3
 
+    def test_ec_past_float_binomials(self, runner):
+        # 1100 + n disks: the binomial coefficients outgrow a float
+        result = invoke(runner, ["--format", "json", "plan", "--mode", "ec",
+                                 "--epsilon", "1e-6", "--p", "0.01", "--m", "1100"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["n"] == 30
+        assert payload["loss"] == prob_loss_ec(0.01, 1100, 30)
+
     def test_missing_m_is_usage_error(self, runner):
         result = runner.invoke(main, ["plan", "--mode", "ec", "--epsilon", "1e-6",
                                       "--p", "0.005"])
@@ -360,6 +369,11 @@ class TestCodecCommands:
                                       "--scheme", "rs:4+2",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_report_hybrid_is_usage_error(self, runner):
+        result = runner.invoke(main, ["codec", "report", "--scheme", "hybrid:2x4+2"])
+        assert result.exit_code == 2
+        assert "cannot report on scheme hybrid:2x4+2" in result.output
 
     def test_report_rs_threshold(self, runner):
         result = invoke(runner, ["--format", "json", "codec", "report",

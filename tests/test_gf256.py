@@ -12,8 +12,6 @@ class TestFieldAxioms:
         xor = np.bitwise_xor.outer(ALL, ALL)
         assert np.array_equal(xor, xor.T)  # commutative
         assert np.all(np.bitwise_xor(ALL, ALL) == 0)  # x + x = 0
-        for a in (0, 1, 7, 255):
-            assert gf256.add(a, 0) == a
 
     def test_multiplication_commutes(self):
         assert np.array_equal(gf256.MUL_TABLE, gf256.MUL_TABLE.T)
@@ -29,8 +27,6 @@ class TestFieldAxioms:
     def test_inverse_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             gf256.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            gf256.div(3, 0)
 
     def test_mul_div_round_trip_exhaustive(self):
         for b in range(1, 256):
@@ -59,11 +55,6 @@ class TestFieldAxioms:
         for _ in range(500):
             a, b = int(rng.integers(256)), int(rng.integers(256))
             assert gf256.MUL_TABLE[a, b] == gf256.mul(a, b)
-
-    def test_div_matches_mul_by_inverse(self):
-        for a in (0, 1, 9, 171, 255):
-            for b in (1, 2, 90, 255):
-                assert gf256.div(a, b) == gf256.mul(a, gf256.inv(b))
 
 
 class TestVectorHelpers:
@@ -112,3 +103,22 @@ class TestMatrixAlgebra:
         assert gf256.matrix_rank([[1, 0], [0, 1], [1, 1]], 2) == 2
         assert gf256.matrix_rank([[1, 1], [1, 1]], 2) == 1
         assert gf256.matrix_rank([[0, 0]], 2) == 0
+
+    def test_row_reduce_rank_deficient_with_carried_columns(self):
+        # rows 1 and 2 are 2x and 3x row 0 on the first two columns, so those
+        # columns have rank 1 and the third column supplies the second pivot;
+        # a carried identity block records how each result row was formed
+        head = [[1, 2, 5], [2, 4, 7], [3, 6, 7]]
+        rows = [r + [int(i == j) for j in range(3)] for i, r in enumerate(head)]
+        assert len(gf256.row_reduce(rows, 2)) == 1 == gf256.matrix_rank(head, 2)
+        reduced = gf256.row_reduce(rows, 3)
+        assert len(reduced) == 2 == gf256.matrix_rank(head, 3)
+        assert [r[0] for r in reduced] == [1, 0]  # pivot columns 0 and 2, in order
+        assert [r[2] for r in reduced] == [0, 1]
+        assert reduced[1][1] == 0
+        for row in reduced:
+            recombined = [0, 0, 0]
+            for coeff, source in zip(row[3:], head):
+                for t, w in enumerate(source):
+                    recombined[t] ^= gf256.mul(coeff, w)
+            assert recombined == row[:3]

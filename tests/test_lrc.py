@@ -11,7 +11,6 @@ from durakit.codec.lrc import (
     LRC_6_2_2,
     TOTAL_FRAGMENTS,
     generator_rows,
-    group_of,
     lrc_decode,
     lrc_encode,
     lrc_recoverable,
@@ -137,15 +136,6 @@ class TestGeneratorRows:
         rows = generator_rows()
         assert len(rows) == TOTAL_FRAGMENTS
         assert all(len(r) == DATA_COUNT for r in rows)
-
-    def test_group_mapping(self):
-        assert group_of(0) == 0
-        assert group_of(5) == 1
-        assert group_of(6) == 0
-        assert group_of(7) == 1
-        assert group_of(8) is None
-        with pytest.raises(ValueError):
-            group_of(10)
 
 
 class TestReportOrdering:

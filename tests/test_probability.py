@@ -84,6 +84,15 @@ class TestErasureLoss:
         expected = float(exact_binomial_tail(1e-6, 64, 16))
         assert value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "p,total,threshold", [(0.5, 1030, 500), (0.25, 1100, 300)]
+    )
+    def test_exact_oracle_past_float_binomials(self, p, total, threshold):
+        # C(total, total // 2) no longer fits a float from total = 1030 on
+        value = binomial_tail(p, total, threshold)
+        expected = float(exact_binomial_tail(p, total, threshold))
+        assert value == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.1])
     def test_exact_oracle_medium_grid(self, p):
         for total in range(2, 13):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from durakit.probability import (
     prob_loss_ec,
 )
 from durakit.simulate import (
+    _worker_count,
     ec_read_latency_expectation,
     simulate_availability,
     simulate_latency,
@@ -52,6 +54,13 @@ class TestDeterminism:
         a = simulate_loss(0.1, 2, 1, 100_000, seed=1)
         b = simulate_loss(0.1, 2, 1, 100_000, seed=2)
         assert a.events != b.events
+
+    def test_worker_count_clamped_to_chunks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert _worker_count(1, 100) == 1
+        assert _worker_count(10**9, 3) == min(3, cpus)
+        assert _worker_count(10**9, 10**9) == cpus
+        assert _worker_count(2, 10**9) == min(2, cpus)
 
     def test_partial_final_chunk(self):
         # trials deliberately not a multiple of the chunk size
