@@ -506,14 +506,17 @@ def codec_decode(settings: Settings, fragment_files, out_file: Path):
 
 @codec.command("report")
 @click.option("--scheme", "scheme_text", required=True)
-@click.option("--max-t", type=int, default=4, show_default=True,
+@click.option("--max-t", type=int, default=None,
+              show_default="4, or the fragment count if smaller",
               help="Largest failure-pattern size to enumerate.")
 @click.pass_obj
 @_translate_errors
 def codec_report(settings: Settings, scheme_text, max_t):
     """Recoverable fraction of every failure pattern size up to max-t."""
     scheme = parse_scheme(scheme_text)
-    _linear_code(scheme, "report on")
+    code = _linear_code(scheme, "report on")
+    if max_t is None:
+        max_t = min(4, code.count)
     report = recoverability_report(scheme, max_t)
     rows = [
         {

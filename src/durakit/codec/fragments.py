@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
@@ -56,6 +56,9 @@ class Fragment:
     payload: bytes
     original_length: int
     checksum: int | None = None
+    # set once a bytes payload has matched its checksum; bytes cannot change
+    # afterwards, so decoding does not compute the CRC again
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.object_id) != 16:
@@ -91,6 +94,13 @@ class Fragment:
         return FragmentRole.LOCAL_PARITY
 
     def verify_checksum(self) -> None:
+        """Raise ``ChecksumError`` unless the payload matches its CRC-32.
+
+        A ``bytes`` payload is checked once per fragment; any other buffer
+        may have changed since, so it is checked on every call.
+        """
+        if self._verified:
+            return
         actual = zlib.crc32(self.payload)
         if actual != self.checksum:
             raise ChecksumError(
@@ -98,6 +108,8 @@ class Fragment:
                 f"match recorded {self.checksum:#010x}",
                 index=self.index,
             )
+        if isinstance(self.payload, bytes):
+            object.__setattr__(self, "_verified", True)
 
 
 def _scheme_wire_params(scheme) -> tuple[int, int, int]:
@@ -128,7 +140,7 @@ def fragment_to_bytes(fragment: Fragment) -> bytes:
         fragment.original_length,
         fragment.payload_len,
     )
-    return header + fragment.payload + _TRAILER.pack(fragment.checksum)
+    return b"".join((header, fragment.payload, _TRAILER.pack(fragment.checksum)))
 
 
 def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:

@@ -95,11 +95,11 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
 
     k = code.k
     size = shard_length(len(data), k)
-    padded = np.zeros(k * size, dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    shards = padded.reshape(k, size)
-
-    payloads = [shards[j].tobytes() for j in range(k)]
+    view = memoryview(data)
+    payloads = [
+        view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
+    ]
+    shards = [np.frombuffer(payload, dtype=np.uint8) for payload in payloads]
     payloads += [gf256.combine(row, shards).tobytes() for row in rows[k:]]
     return [
         Fragment(object_id, code.scheme, i, payload, len(data))
@@ -153,11 +153,7 @@ def solve(
             f"need {k} distinct fragments to decode, have {len(by_index)}"
         )
 
-    shards = {
-        j: np.frombuffer(by_index[j].payload, dtype=np.uint8)
-        for j in range(k)
-        if j in by_index
-    }
+    shards = {j: by_index[j].payload for j in range(k) if j in by_index}
     known = list(shards)
     missing = [j for j in range(k) if j not in by_index]
     e = len(missing)
@@ -181,13 +177,21 @@ def solve(
                 f"surviving fragments leave {e - len(reduced)} data shard(s) "
                 "undetermined"
             )
-        sources = [shards[j] for j in known]
-        sources += [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in parity]
+        sources = [
+            np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in known + parity
+        ]
         for j, row in zip(missing, reduced):
             shards[j] = gf256.combine(row[e:], sources)
         units = [row[e + len(known):] for row in reduced]
         used += [i for t, i in enumerate(parity) if any(u[t] for u in units)]
-    data = b"".join(shards[j] for j in range(k))[: fragments[0].original_length]
+    # whole shards go in as they are, so a one-shard object (a replica) that
+    # survived is returned without a copy
+    length, size = fragments[0].original_length, fragments[0].payload_len
+    data = b"".join(
+        shards[j] if length >= (j + 1) * size
+        else memoryview(shards[j])[: max(0, length - j * size)]
+        for j in range(k)
+    )
     return data, tuple(used)
 
 

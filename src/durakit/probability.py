@@ -8,6 +8,7 @@ simulation, and CLI layers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SolverBoundError
@@ -15,13 +16,13 @@ from .errors import SolverBoundError
 #: Largest parity count the sizing solver will consider before giving up.
 DEFAULT_PARITY_CAP = 64
 
-# Below this per-disk probability the tail terms are evaluated in log space
-# to avoid underflow in the p**i factors.
-_LOG_TERM_THRESHOLD = 1e-4
+# Tails whose p**i or q**(total - i) factors could fall below the smallest
+# normal float are formed in log space.  The same bound, total * log(1/2),
+# keeps every C(total, i) of the direct sum inside the float range.
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
-# From this total on, C(total, total // 2) exceeds the float range, so the
-# direct product would overflow; those tails are also formed in log space.
-_LOG_TERM_MIN_TOTAL = 1030
+# Terms this far below the largest one cannot move the sum.
+_NEGLIGIBLE_TERM = 1e-20
 
 # Log-ratio solutions closer than this to an integer are re-checked by
 # direct powering instead of trusting the floating-point ceiling.
@@ -127,10 +128,11 @@ Scheme = ReplicationScheme | ErasureScheme | HybridScheme
 def binomial_tail(p: float, total: int, threshold: int) -> float:
     """P[X > threshold] for X ~ Binomial(total, p).
 
-    Terms are accumulated from the largest index downward with exact
-    summation; for very small p each term is formed in log space so the
-    result stays accurate down to p = 1e-6 and total = 64, and so is every
-    term once the binomial coefficients outgrow a float.
+    When every factor p**i and (1-p)**(total-i) is a normal float, the terms
+    are summed directly with exact summation.  Otherwise (small p, or a
+    large total) the tail is taken relative to its largest term, which is
+    formed once in log space, so it stays within 1e-12 relative of the exact
+    value wherever that value is a normal float.
     """
     _check_prob("p", p)
     if total < 1:
@@ -148,20 +150,45 @@ def binomial_tail(p: float, total: int, threshold: int) -> float:
         # n=k-1 bit-identical to p**k
         return p**total
 
-    if p < _LOG_TERM_THRESHOLD or total >= _LOG_TERM_MIN_TOTAL:
-        log_p = math.log(p)
-        log_q = math.log1p(-p)
-        terms = [
-            math.exp(math.log(math.comb(total, i)) + i * log_p + (total - i) * log_q)
-            for i in range(total, threshold, -1)
-        ]
-    else:
-        q = 1.0 - p
-        terms = [
-            math.comb(total, i) * p**i * q ** (total - i)
-            for i in range(total, threshold, -1)
-        ]
+    q = 1.0 - p
+    if total * math.log(min(p, q)) < _LOG_MIN_NORMAL:
+        return _log_space_tail(p, total, threshold)
+    terms = [
+        math.comb(total, i) * p**i * q ** (total - i)
+        for i in range(total, threshold, -1)
+    ]
     return min(1.0, math.fsum(terms))
+
+
+def _log_space_tail(p: float, total: int, threshold: int) -> float:
+    """``binomial_tail`` as its largest term times a sum of term ratios.
+
+    The largest tail term, at the mode or at threshold + 1, is the only one
+    formed in log space, from one exact binomial coefficient.  The others
+    follow from it by the ratio of neighbouring terms, so every ratio is at
+    most 1 and the walk away from the largest term stops once the ratios
+    are negligible.
+    """
+    top = min(total, max(threshold + 1, math.floor((total + 1) * p)))
+    log_top = (
+        math.log(math.comb(total, top)) + top * math.log(p)
+        + (total - top) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    ratios = [1.0]
+    ratio = 1.0
+    for i in range(top + 1, total + 1):
+        ratio *= (total - i + 1) / i * odds
+        if ratio < _NEGLIGIBLE_TERM:
+            break
+        ratios.append(ratio)
+    ratio = 1.0
+    for i in range(top, threshold + 1, -1):
+        ratio *= i / ((total - i + 1) * odds)
+        if ratio < _NEGLIGIBLE_TERM:
+            break
+        ratios.append(ratio)
+    return min(1.0, math.exp(log_top + math.log(math.fsum(ratios))))
 
 
 def prob_loss_replication(p_dead: float, copies: int) -> float:

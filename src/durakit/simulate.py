@@ -12,8 +12,6 @@ by (seed, chunk index), and per-chunk partials are reduced in chunk order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from .codec.linear import code_of
 from .errors import RareEventError
 from .latency import LatencyProfile, expected_latency_replication
+from .parallel import map_chunks
 from .placement import Placement, Topology, placement_unavailability
 from .probability import (
     DiskFailureModel,
@@ -68,19 +67,10 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _worker_count(threads: int, chunks: int) -> int:
-    """Threads worth starting: no more than there are chunks or CPUs."""
-    return min(threads, chunks, os.cpu_count() or 1)
-
-
 def _run_chunks(trials: int, threads: int, worker):
     """Apply worker(chunk_index, chunk_size) to every chunk, in chunk order."""
     sizes = _chunk_sizes(trials)
-    workers = _worker_count(threads, len(sizes))
-    if workers == 1:
-        return [worker(i, size) for i, size in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(len(sizes)), sizes))
+    return map_chunks(lambda i: worker(i, sizes[i]), range(len(sizes)), threads)
 
 
 def _guard_rare_event(analytic: float | None, trials: int) -> None:

@@ -23,6 +23,16 @@ def exact_binomial_tail(p: float, total: int, threshold: int) -> Fraction:
     )
 
 
+def exact_binomial_tail_by_complement(p: float, total: int, threshold: int) -> Fraction:
+    """``exact_binomial_tail`` as 1 - P[X <= threshold]: the same exact value,
+    cheaper when the threshold is far below the total."""
+    pf = Fraction(p)
+    qf = 1 - pf
+    return 1 - sum(
+        comb(total, i) * pf**i * qf ** (total - i) for i in range(threshold + 1)
+    )
+
+
 def enumerate_loss(p: float, m: int, n: int) -> float:
     """Loss probability by enumerating all 2**(m+n) disk states."""
     total = m + n

@@ -326,6 +326,20 @@ class TestCodecCommands:
                                       "--out", str(tmp_path / "x.bin")])
         assert result.exit_code == 5
 
+    def test_wrong_recorded_checksum_exit_5(self, runner, tmp_path):
+        import dataclasses
+
+        from durakit.codec import read_fragment, write_fragment
+
+        _, files = self.encode(runner, tmp_path, size=5_000)
+        fragment = read_fragment(files[2])  # verified on read
+        write_fragment(
+            dataclasses.replace(fragment, checksum=fragment.checksum ^ 1), files[2]
+        )
+        result = runner.invoke(main, ["codec", "decode", *files[:9],
+                                      "--out", str(tmp_path / "x.bin")])
+        assert result.exit_code == 5
+
     def test_malformed_fragment_exit_6(self, runner, tmp_path):
         from pathlib import Path
 
@@ -374,6 +388,16 @@ class TestCodecCommands:
         result = runner.invoke(main, ["codec", "report", "--scheme", "hybrid:2x4+2"])
         assert result.exit_code == 2
         assert "cannot report on scheme hybrid:2x4+2" in result.output
+
+    def test_report_default_max_t_clamps_to_fragment_count(self, runner):
+        result = invoke(runner, ["--format", "json", "codec", "report",
+                                 "--scheme", "rep:3"])
+        fractions = [row["fraction"] for row in json.loads(result.output)["rows"]]
+        assert fractions == [1.0, 1.0, 1.0, 0.0]
+        explicit = runner.invoke(main, ["codec", "report", "--scheme", "rep:3",
+                                        "--max-t", "4"])
+        assert explicit.exit_code == 2
+        assert "max_t must be within 0..3, got 4" in explicit.output
 
     def test_report_rs_threshold(self, runner):
         result = invoke(runner, ["--format", "json", "codec", "report",

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -12,6 +13,7 @@ from durakit.codec.fragments import (
     read_fragment,
     write_fragment,
 )
+from durakit.codec.rs import rs_decode, rs_encode
 from durakit.errors import ChecksumError, MalformedFragmentError
 from durakit.probability import ErasureScheme
 
@@ -74,6 +76,51 @@ class TestCorruptionDetection:
         frag = fragment_from_bytes(bytes(raw), verify=False)
         with pytest.raises(ChecksumError):
             frag.verify_checksum()
+
+
+class TestChecksumOnce:
+    """A bytes payload's CRC is computed once; anything else is checked each time."""
+
+    @staticmethod
+    def count_crcs(monkeypatch):
+        calls = []
+        real = zlib.crc32
+
+        def counting(data, *args):
+            calls.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(zlib, "crc32", counting)
+        return calls
+
+    def test_parse_then_decode_computes_each_crc_once(self, monkeypatch):
+        blobs = [fragment_to_bytes(f) for f in rs_encode(bytes(range(200)) * 5, 4, 2)]
+        calls = self.count_crcs(monkeypatch)
+        parsed = [fragment_from_bytes(blob) for blob in blobs]
+        assert rs_decode(parsed) == bytes(range(200)) * 5
+        assert rs_decode(parsed[2:]) == bytes(range(200)) * 5
+        assert len(calls) == len(blobs)
+
+    def test_wrong_checksum_still_raises(self):
+        fragments = rs_encode(b"payload under test" * 10, 3, 2)
+        fragments[1].verify_checksum()
+        bad = dataclasses.replace(fragments[1], checksum=fragments[1].checksum ^ 1)
+        with pytest.raises(ChecksumError) as info:
+            rs_decode([fragments[0], bad, fragments[2]])
+        assert info.value.index == 1
+
+    def test_bytearray_payload_checked_on_every_decode(self, monkeypatch):
+        data = b"mutable payload!" * 4
+        fragments = rs_encode(data, 2, 1)
+        payload = bytearray(fragments[0].payload)
+        mutable = dataclasses.replace(fragments[0], payload=payload)
+        calls = self.count_crcs(monkeypatch)
+        assert rs_decode([mutable, fragments[1]]) == data
+        assert rs_decode([mutable, fragments[1]]) == data
+        assert len(calls) == 3  # the bytearray twice, the bytes payload once
+        payload[0] ^= 0xFF
+        with pytest.raises(ChecksumError):
+            rs_decode([mutable, fragments[1]])
 
 
 class TestMalformedInput:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from durakit import parallel
 from durakit.codec import gf256
 
 
@@ -75,6 +76,45 @@ class TestVectorHelpers:
     def test_mul_table_is_immutable(self):
         with pytest.raises(ValueError):
             gf256.MUL_TABLE[0, 0] = 1
+
+
+class TestCombine:
+    """``combine`` against the byte-table loop it replaces for long payloads."""
+
+    LENGTHS = (1, 65535, 65536, 65537, 3 * 256 * 1024 + 1)
+    COEFFS = (0, 1, 2, 255)
+
+    @staticmethod
+    def reference(coeffs, sources):
+        acc = np.zeros(len(sources[0]), dtype=np.uint8)
+        for coeff, source in zip(coeffs, sources):
+            gf256.addmul_bytes(acc, coeff, source)
+        return acc
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_matches_byte_table_loop(self, monkeypatch, length, cpus):
+        pools = []
+
+        class RecordingPool(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+        rng = np.random.default_rng(length)
+        sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in self.COEFFS]
+        expected = self.reference(self.COEFFS, sources)
+        assert np.array_equal(gf256.combine(self.COEFFS, sources), expected)
+        for coeff, source in zip(self.COEFFS, sources):
+            alone = gf256.combine([coeff], [source])
+            assert np.array_equal(alone, self.reference([coeff], [source]))
+        stripes = -(-length // gf256.STRIPE_BYTES)
+        if cpus == 2 and length >= gf256.PAIR_MIN_BYTES and stripes > 1:
+            assert pools and set(pools) == {2}
+        else:
+            assert pools == []
 
 
 class TestMatrixAlgebra:

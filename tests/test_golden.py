@@ -42,6 +42,16 @@ FRAGMENT_DIGESTS = {
         "34709a01995456526ac343c85fc4e0e0de1d1f71c7bfb5f70fab8fef34592dc4",
 }
 
+#: shards of 3 stripes of 256 KiB plus one odd byte, the last one padded by
+#: 3 bytes: the striped pair-table kernel path, recorded on the byte-table kernel
+STRIPED_SHARD = 3 * 256 * 1024 + 1
+STRIPED_DIGESTS = {
+    "rs:8+3":
+        "68d66c2002ec281c8b0c45a40b3a8b665b99aba9e5e7be839528f57d186c3931",
+    "lrc":
+        "e11b01e239b8cf8008e5b62c75920c1fe824a9f77100cb6f83dce5ff0649418f",
+}
+
 REPAIR_CASES = 17_314
 REPAIR_DIGEST = "07330c67f7f2f70dd6195b44d773b0bb66ea20c593b414d6104a9675823dd066"
 
@@ -64,6 +74,16 @@ def test_fragment_bytes(name):
         for fragment in encode(name, sample(length)):
             sha.update(fragment_to_bytes(fragment))
     assert sha.hexdigest() == FRAGMENT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,k", [("rs:8+3", 8), ("lrc", 6)])
+def test_striped_fragment_bytes(name, k):
+    fragments = encode(name, sample(k * STRIPED_SHARD - 3))
+    assert {f.payload_len for f in fragments} == {STRIPED_SHARD}
+    sha = hashlib.sha256()
+    for fragment in fragments:
+        sha.update(fragment_to_bytes(fragment))
+    assert sha.hexdigest() == STRIPED_DIGESTS[name]
 
 
 def repair_placements():

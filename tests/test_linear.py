@@ -8,7 +8,7 @@ import pytest
 from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.lrc import LRC_6_2_2, lrc_recoverable
 from durakit.errors import UnrecoverableError
-from durakit.probability import ErasureScheme
+from durakit.probability import ErasureScheme, ReplicationScheme
 
 
 def check_solve(code, data, fragments):
@@ -43,3 +43,14 @@ def test_rs_8_3_every_eight_subset():
     fragments = encode(code, data, None)
     for kept in combinations(fragments, 8):
         check_solve(code, data, list(kept))
+
+
+def test_surviving_replica_is_returned_without_a_copy():
+    code = code_of(ReplicationScheme(3))
+    data = random.Random(4).randbytes(70_000)
+    fragments = encode(code, data, None)
+    restored, used = solve(code, fragments)
+    assert restored is fragments[0].payload
+    assert used == (0,)
+    restored, used = solve(code, fragments[2:])
+    assert restored == data and used == (2,)

@@ -1,4 +1,8 @@
 
+import math
+import random
+import sys
+
 import pytest
 
 from durakit.errors import SolverBoundError
@@ -18,7 +22,11 @@ from durakit.probability import (
     replicas_needed,
 )
 
-from oracles import enumerate_loss, exact_binomial_tail
+from oracles import (
+    enumerate_loss,
+    exact_binomial_tail,
+    exact_binomial_tail_by_complement,
+)
 
 
 class TestReplicationLoss:
@@ -47,7 +55,7 @@ class TestErasureLoss:
     def test_worked_example_8_3(self):
         value = prob_loss_ec(0.005, 8, 3)
         # frozen from the exact rational sum over Binomial(11, 0.005)
-        assert value == pytest.approx(2.0054667412485277e-07, rel=1e-12)
+        assert value == pytest.approx(2.0054667412485277e-07, rel=1e-12, abs=0.0)
         assert value == pytest.approx(1.99e-7, rel=0.01)
 
     def test_no_parity_any_failure_fatal(self):
@@ -82,7 +90,7 @@ class TestErasureLoss:
         # robustness floor: p = 1e-6 with 64 disks
         value = prob_loss_ec(1e-6, 48, 16)
         expected = float(exact_binomial_tail(1e-6, 64, 16))
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "p,total,threshold", [(0.5, 1030, 500), (0.25, 1100, 300)]
@@ -91,7 +99,51 @@ class TestErasureLoss:
         # C(total, total // 2) no longer fits a float from total = 1030 on
         value = binomial_tail(p, total, threshold)
         expected = float(exact_binomial_tail(p, total, threshold))
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p,total,threshold", [(2.67e-4, 213, 93), (0.002711, 182, 123)]
+    )
+    def test_exact_oracle_below_float_factors(self, p, total, threshold):
+        # p**i leaves the normal float range although the tail does not:
+        # summed directly, these came out as 0.0 and 2.8e-6 relative off
+        value = binomial_tail(p, total, threshold)
+        expected = float(exact_binomial_tail(p, total, threshold))
+        assert expected > 1e-300
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_log_space_forms_one_coefficient(self, monkeypatch):
+        calls = []
+        real = math.comb
+
+        def counting(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(math, "comb", counting)
+        value = binomial_tail(0.01, 1130, 30)
+        assert len(calls) == 1
+        monkeypatch.setattr(math, "comb", real)
+        expected = float(exact_binomial_tail_by_complement(0.01, 1130, 30))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_exact_oracle_sampled_domain(self):
+        # m+n up to the field size, p from 1e-12 to 1 - 1e-12
+        rng = random.Random(5)
+        for _ in range(60):
+            total = rng.randint(2, 255)
+            p = 10 ** rng.uniform(-12, -1e-12)
+            if rng.random() < 0.2:
+                p = 1.0 - p
+            threshold = rng.randint(0, total - 1)
+            expected = float(exact_binomial_tail(p, total, threshold))
+            value = binomial_tail(p, total, threshold)
+            if expected < sys.float_info.min:
+                assert value < 2 * sys.float_info.min, (p, total, threshold)
+            else:
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (
+                    p, total, threshold,
+                )
 
     @pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.1])
     def test_exact_oracle_medium_grid(self, p):
@@ -103,7 +155,7 @@ class TestErasureLoss:
                     assert prob_loss_ec(p, m, n) == 0.0
                 else:
                     assert prob_loss_ec(p, m, n) == pytest.approx(
-                        float(expected), rel=1e-12
+                        float(expected), rel=1e-12, abs=0.0
                     )
 
     def test_monotone_in_n(self):

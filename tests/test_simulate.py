@@ -5,6 +5,7 @@ import pytest
 
 from durakit.errors import RareEventError
 from durakit.latency import LatencyProfile, expected_latency_replication
+from durakit.parallel import worker_count
 from durakit.placement import Topology, balanced_placement, placement_unavailability
 from durakit.probability import (
     DiskFailureModel,
@@ -13,7 +14,6 @@ from durakit.probability import (
     prob_loss_ec,
 )
 from durakit.simulate import (
-    _worker_count,
     ec_read_latency_expectation,
     simulate_availability,
     simulate_latency,
@@ -57,10 +57,10 @@ class TestDeterminism:
 
     def test_worker_count_clamped_to_chunks_and_cpus(self):
         cpus = os.cpu_count() or 1
-        assert _worker_count(1, 100) == 1
-        assert _worker_count(10**9, 3) == min(3, cpus)
-        assert _worker_count(10**9, 10**9) == cpus
-        assert _worker_count(2, 10**9) == min(2, cpus)
+        assert worker_count(1, 100) == 1
+        assert worker_count(10**9, 3) == min(3, cpus)
+        assert worker_count(10**9, 10**9) == cpus
+        assert worker_count(2, 10**9) == min(2, cpus)
 
     def test_partial_final_chunk(self):
         # trials deliberately not a multiple of the chunk size
