@@ -12,8 +12,8 @@ payload math goes through numpy gathers, in ``combine``:
   multiplies two bytes; an odd last byte takes the byte table.  The tables
   take about 20 us each to build and are dropped when the call returns;
   caching one per coefficient costs more memory than it saves time.
-- That path works in fixed ``STRIPE_BYTES`` stripes, spread over up to
-  ``os.cpu_count()`` threads (numpy's gathers release the interpreter
+- That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
+  up to ``os.cpu_count()`` threads (numpy's gathers release the interpreter
   lock).  Every output byte depends only on the same bytes of the sources,
   so the result is identical at any thread count.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel import map_chunks
+from ..parallel import map_chunks, worker_count
 
 ORDER = 256
 POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1, primitive
@@ -110,22 +110,34 @@ def combine(coeffs, sources) -> np.ndarray:
 
     terms = [(coeff, source) for coeff, source in zip(coeffs, sources) if coeff]
     tables = {coeff: _pair_table(coeff) for coeff, _ in terms if coeff > 1}
-
-    def stripe(start: int) -> None:
-        stop = min(start + STRIPE_BYTES, length)
-        even = stop - (stop - start) % 2
-        out = acc[start:stop]
-        pairs = acc[start:even].view(_PAIR)
-        for coeff, source in terms:
-            if coeff == 1:
-                np.bitwise_xor(out, source[start:stop], out=out)
-                continue
-            np.bitwise_xor(pairs, tables[coeff][source[start:even].view(_PAIR)], out=pairs)
-            if even < stop:
-                acc[even] ^= MUL_TABLE[coeff, source[even]]
-
     starts = range(0, length, STRIPE_BYTES)
-    map_chunks(stripe, starts, threads=len(starts))  # clamped to the CPU count
+    workers = worker_count(len(starts), len(starts))
+
+    def run(job) -> None:
+        first, index, product = job
+        for start in starts[first::workers]:
+            stop = min(start + STRIPE_BYTES, length)
+            even = stop - (stop - start) % 2
+            out = acc[start:stop]
+            pairs = acc[start:even].view(_PAIR)
+            n = len(pairs)
+            for coeff, source in terms:
+                if coeff == 1:
+                    np.bitwise_xor(out, source[start:stop], out=out)
+                    continue
+                # every uint16 indexes the table, so "clip" never fires; unlike
+                # the default mode it lets take write straight into ``product``
+                np.copyto(index[:n], source[start:even].view(_PAIR))
+                np.take(tables[coeff], index[:n], out=product[:n], mode="clip")
+                np.bitwise_xor(pairs, product[:n], out=pairs)
+                if even < stop:
+                    acc[even] ^= MUL_TABLE[coeff, source[even]]
+
+    # each worker gets its index and product buffers from here, so no stripe
+    # allocates; per-stripe temporaries made this loop up to twice as slow
+    half = STRIPE_BYTES // 2
+    jobs = [(w, np.empty(half, np.intp), np.empty(half, _PAIR)) for w in range(workers)]
+    map_chunks(run, jobs, threads=workers)
     return acc
 
 
