@@ -38,11 +38,7 @@ from .errors import (
     SolverBoundError,
     UnrecoverableError,
 )
-from .latency import (
-    LatencyProfile,
-    approx_latency_ec,
-    approx_latency_replication,
-)
+from .latency import LatencyProfile, approx_latency_ec
 from .placement import (
     Topology,
     balanced_placement,
@@ -268,7 +264,7 @@ def plan(settings: Settings, mode, epsilon, p, m, max_n):
             "p": p,
             "k": k,
             "loss": prob_loss_replication(p, k),
-            "redundancy_factor": float(k),
+            "redundancy_factor": redundancy_factor(ReplicationScheme(k)),
         }
     _emit(settings, payload)
 
@@ -281,16 +277,17 @@ def _comparison_row(
     p_unavail: float | None,
     profile: LatencyProfile | None,
 ) -> dict:
-    if not isinstance(scheme, (ReplicationScheme, ErasureScheme)):
+    # replication lowers to the RS 1+(k-1) code, so one formula serves both
+    try:
+        code = code_of(scheme)
+    except TypeError:
+        code = None
+    if code is None or not code.mds:
         raise click.UsageError(
             f"only replication and m+n schemes can be compared, got {scheme.label}"
         )
     p_u = p_unavail if p_unavail is not None else p
-
-    if isinstance(scheme, ReplicationScheme):
-        loss = prob_loss_replication(p, scheme.k)
-    else:
-        loss = prob_loss_ec(p, scheme.m, scheme.n)
+    loss = prob_loss_ec(p, code.k, code.count - code.k)
 
     unavailability = None
     repair_remote = None
@@ -305,10 +302,7 @@ def _comparison_row(
         if profile.site_count < 2:
             raise click.UsageError("latency profiles need at least two sites")
         l1, l2 = profile.latencies[0], profile.latencies[1]
-        if isinstance(scheme, ReplicationScheme):
-            latency = approx_latency_replication(l1, l2, p_u)
-        else:
-            latency = approx_latency_ec(l1, l2, p_u, scheme.m)
+        latency = approx_latency_ec(l1, l2, p_u, code.k)
 
     row = {
         "scheme": scheme.label,

@@ -155,15 +155,6 @@ def placement_unavailability(
         raise TypeError(
             f"unavailability needs an MDS code, got {placement.scheme.label}"
         )
-    return _enumerated_unavailability(model, topology, placement, code.k)
-
-
-def _enumerated_unavailability(
-    model: DiskFailureModel,
-    topology: Topology,
-    placement: Placement,
-    need: int,
-) -> float:
     d = topology.dc_count
     if d > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
@@ -180,6 +171,7 @@ def _enumerated_unavailability(
     for dc in placement.assignment:
         per_dc[dc] += 1
 
+    need = code.k
     p_u = model.p_unavail
     qs = topology.outage_probs
     total = 0.0
@@ -194,13 +186,9 @@ def _enumerated_unavailability(
                 up_fragments += per_dc[dc]
         if prob == 0.0:
             continue
-        total += prob * _prob_reachable_below(up_fragments, need, p_u)
+        if up_fragments < need:
+            total += prob
+        else:
+            # fewer than need reachable <=> more than up_fragments - need unavailable
+            total += prob * binomial_tail(p_u, up_fragments, up_fragments - need)
     return min(1.0, total)
-
-
-def _prob_reachable_below(fragments_up: int, m: int, p_unavail: float) -> float:
-    """P[fewer than m of fragments_up independent fragments are reachable]."""
-    if fragments_up < m:
-        return 1.0
-    # reachable < m  <=>  unavailable > fragments_up - m
-    return binomial_tail(p_unavail, fragments_up, fragments_up - m)

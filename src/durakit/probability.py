@@ -8,7 +8,6 @@ simulation, and CLI layers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import SolverBoundError
@@ -16,17 +15,8 @@ from .errors import SolverBoundError
 #: Largest parity count the sizing solver will consider before giving up.
 DEFAULT_PARITY_CAP = 64
 
-# Tails whose p**i or q**(total - i) factors could fall below the smallest
-# normal float are formed in log space.  The same bound, total * log(1/2),
-# keeps every C(total, i) of the direct sum inside the float range.
-_LOG_MIN_NORMAL = math.log(sys.float_info.min)
-
 # Terms this far below the largest one cannot move the sum.
 _NEGLIGIBLE_TERM = 1e-20
-
-# Log-ratio solutions closer than this to an integer are re-checked by
-# direct powering instead of trusting the floating-point ceiling.
-_INTEGER_GUARD = 1e-9
 
 
 def _check_prob(name: str, value: float, *, exclusive: bool = False) -> None:
@@ -128,11 +118,12 @@ Scheme = ReplicationScheme | ErasureScheme | HybridScheme
 def binomial_tail(p: float, total: int, threshold: int) -> float:
     """P[X > threshold] for X ~ Binomial(total, p).
 
-    When every factor p**i and (1-p)**(total-i) is a normal float, the terms
-    are summed directly with exact summation.  Otherwise (small p, or a
-    large total) the tail is taken relative to its largest term, which is
-    formed once in log space, so it stays within 1e-12 relative of the exact
-    value wherever that value is a normal float.
+    The tail is its largest term times a sum of term ratios.  That term, at
+    the mode or at threshold + 1, is the only one formed in log space, from
+    one exact binomial coefficient; the others follow from it by the ratio
+    of neighbouring terms, so every ratio is at most 1 and the walk away
+    from it stops once the ratios are negligible.  The result stays within
+    1e-12 relative of the exact value wherever that value is a normal float.
     """
     _check_prob("p", p)
     if total < 1:
@@ -150,25 +141,6 @@ def binomial_tail(p: float, total: int, threshold: int) -> float:
         # n=k-1 bit-identical to p**k
         return p**total
 
-    q = 1.0 - p
-    if total * math.log(min(p, q)) < _LOG_MIN_NORMAL:
-        return _log_space_tail(p, total, threshold)
-    terms = [
-        math.comb(total, i) * p**i * q ** (total - i)
-        for i in range(total, threshold, -1)
-    ]
-    return min(1.0, math.fsum(terms))
-
-
-def _log_space_tail(p: float, total: int, threshold: int) -> float:
-    """``binomial_tail`` as its largest term times a sum of term ratios.
-
-    The largest tail term, at the mode or at threshold + 1, is the only one
-    formed in log space, from one exact binomial coefficient.  The others
-    follow from it by the ratio of neighbouring terms, so every ratio is at
-    most 1 and the walk away from the largest term stops once the ratios
-    are negligible.
-    """
     top = min(total, max(threshold + 1, math.floor((total + 1) * p)))
     log_top = (
         math.log(math.comb(total, top)) + top * math.log(p)
@@ -211,17 +183,12 @@ def prob_loss_ec(p: float, m: int, n: int) -> float:
 def replicas_needed(epsilon: float, p: float) -> int:
     """Smallest replica count k with p**k <= epsilon.
 
-    Equals the ceiling of log(epsilon)/log(p).  When the log ratio lands
-    within 1e-9 of an integer the answer is settled by direct powering so a
-    misrounded ceiling cannot shift the result.
+    Starts from the ceiling of log(epsilon)/log(p) and settles the answer by
+    direct powering, so a misrounded ceiling cannot shift the result.
     """
     _check_prob("epsilon", epsilon, exclusive=True)
     _check_prob("p", p, exclusive=True)
-    ratio = math.log(epsilon) / math.log(p)
-    k = max(1, math.ceil(ratio))
-    nearest = round(ratio)
-    if nearest >= 1 and abs(ratio - nearest) < _INTEGER_GUARD:
-        k = nearest
+    k = max(1, math.ceil(math.log(epsilon) / math.log(p)))
     while p**k > epsilon:
         k += 1
     while k > 1 and p ** (k - 1) <= epsilon:

@@ -216,13 +216,11 @@ def simulate_latency(
     L2, and more than n cannot be served.
     """
     _check_run_params(trials, seed, threads)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p!r}")
-
+    # the analytic values check p and, for EC, the two-site profile
     if ec is None:
+        analytic = expected_latency_replication(profile, p)
         latencies = np.array(profile.latencies)
         sites = profile.site_count
-        analytic = expected_latency_replication(profile, p)
 
         def worker(chunk: int, size: int):
             rng = _chunk_rng(seed, chunk)
@@ -233,11 +231,9 @@ def simulate_latency(
             return float(lat.sum()), float((lat * lat).sum()), int((~served).sum())
 
     else:
-        if profile.site_count < 2:
-            raise ValueError("EC latency needs a two-site profile (local, remote)")
+        analytic = ec_read_latency_expectation(profile, p, ec)
         l1, l2 = profile.latencies[0], profile.latencies[1]
         m, n = ec.m, ec.n
-        analytic = ec_read_latency_expectation(profile, p, ec)
 
         def worker(chunk: int, size: int):
             rng = _chunk_rng(seed, chunk)

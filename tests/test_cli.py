@@ -126,6 +126,15 @@ class TestCompare:
         assert rep["repair_remote"] == 1
         assert ec["repair_remote"] == 5  # balanced over 3 DCs: 3 local of 8 sources
 
+    def test_replication_row_is_the_rs_1_plus_k_minus_1_row(self, runner):
+        result = invoke(runner, ["--format", "json", "compare", "--p", "0.005",
+                                 "--scheme", "rep:3", "--scheme", "ec:1+2",
+                                 "--dcs", "3", "--q", "0.01", "--latencies", "1,100"])
+        rep, ec = json.loads(result.output)["rows"]
+        assert rep.pop("scheme") == "rep:3"
+        assert ec.pop("scheme") == "ec:1+2"
+        assert rep == ec
+
     def test_storage_note_states_the_ratio(self, runner):
         result = invoke(runner, self.ARGS)
         assert "46%" in result.output

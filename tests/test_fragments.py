@@ -3,9 +3,13 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from durakit.codec import lrc
 from durakit.codec.fragments import (
+    LRC_GROUP_DESCRIPTOR,
+    MAGIC,
     Fragment,
     FragmentRole,
     fragment_from_bytes,
@@ -13,8 +17,9 @@ from durakit.codec.fragments import (
     read_fragment,
     write_fragment,
 )
+from durakit.codec.linear import code_of, solve
 from durakit.codec.rs import rs_decode, rs_encode
-from durakit.errors import ChecksumError, MalformedFragmentError
+from durakit.errors import ChecksumError, DurakitError, MalformedFragmentError
 from durakit.probability import ErasureScheme
 
 OID = bytes(range(16))
@@ -208,6 +213,50 @@ class TestMalformedInput:
         for cut in range(len(good)):
             with pytest.raises(CodecError):
                 fragment_from_bytes(good[:cut])
+
+
+def _mostly(draw, likely, anything):
+    return draw(anything if draw(st.integers(0, 3)) == 3 else likely)
+
+
+@st.composite
+def ecfr_frames(draw):
+    """Well-framed ECFR bytes with any tag, parameters, index, length, payload
+    and CRC; each field is drawn from plausible values three times in four."""
+    byte = st.integers(0, 255)
+    tag = _mostly(draw, st.sampled_from([1, 2]), byte)
+    if tag == 2:
+        p1 = _mostly(draw, st.just(6), byte)
+        p2 = _mostly(draw, st.just(LRC_GROUP_DESCRIPTOR), byte)
+    else:
+        p1 = _mostly(draw, st.integers(1, 8), byte)
+        p2 = _mostly(draw, st.integers(0, 3), byte)
+    index = _mostly(draw, st.integers(0, 10), byte)
+    payload = _mostly(draw, st.binary(min_size=1, max_size=64), st.just(b""))
+    k = max(p1, 1)
+    original_length = _mostly(
+        draw,
+        st.integers((k - 1) * len(payload) + 1, max(k * len(payload), 1)),
+        st.integers(0, 2**64 - 1),
+    )
+    crc = _mostly(draw, st.just(zlib.crc32(payload)), st.integers(0, 2**32 - 1))
+    header = struct.pack(
+        "<4sBBBBBB16sQQ", MAGIC, 1, tag, p1, p2, index, 0,
+        draw(st.binary(min_size=16, max_size=16)), original_length, len(payload),
+    )
+    return header + payload + struct.pack("<I", crc)
+
+
+class TestArbitraryFrames:
+    @seed(20240531)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(ecfr_frames())
+    def test_parse_and_solve_raise_only_durakit_errors(self, raw):
+        try:
+            frag = fragment_from_bytes(raw)
+            solve(code_of(frag.scheme), [frag])
+        except DurakitError:
+            pass
 
 
 class TestFragmentType:

@@ -112,7 +112,12 @@ class TestErasureLoss:
         assert expected > 1e-300
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_log_space_forms_one_coefficient(self, monkeypatch):
+    @pytest.mark.parametrize("p,total,threshold", [
+        (0.01, 1130, 30),
+        (0.005, 11, 3),
+        (0.5, 100, 50),
+    ])
+    def test_log_space_forms_one_coefficient(self, monkeypatch, p, total, threshold):
         calls = []
         real = math.comb
 
@@ -121,10 +126,10 @@ class TestErasureLoss:
             return real(n, k)
 
         monkeypatch.setattr(math, "comb", counting)
-        value = binomial_tail(0.01, 1130, 30)
+        value = binomial_tail(p, total, threshold)
         assert len(calls) == 1
         monkeypatch.setattr(math, "comb", real)
-        expected = float(exact_binomial_tail_by_complement(0.01, 1130, 30))
+        expected = float(exact_binomial_tail_by_complement(p, total, threshold))
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_exact_oracle_sampled_domain(self):
