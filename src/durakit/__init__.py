@@ -51,7 +51,6 @@ from .placement import (
 from .probability import (
     DiskFailureModel,
     ErasureScheme,
-    HybridScheme,
     ReplicationScheme,
     binomial_tail,
     gaussian_parity_estimate,

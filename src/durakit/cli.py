@@ -48,7 +48,6 @@ from .probability import (
     DEFAULT_PARITY_CAP,
     DiskFailureModel,
     ErasureScheme,
-    HybridScheme,
     ReplicationScheme,
     parity_needed,
     prob_any_failure,
@@ -104,7 +103,7 @@ def _translate_errors(fn):
 
 
 # ---------------------------------------------------------------------------
-# scheme grammar: rep:3, ec:8+3, rs-6-3, lrc, lrc:6+2+2, hybrid:2x4+2
+# scheme grammar: rep:3, ec:8+3, rs-6-3, lrc, lrc:6+2+2
 
 
 def parse_scheme(text: str):
@@ -126,10 +125,6 @@ def parse_scheme(text: str):
         if numbers not in ([], [6, 2, 2]):
             raise click.BadParameter(f"only the 6+2+2 LRC is supported, got {text!r}")
         return LRC_6_2_2
-    if kind == "hybrid":
-        if len(numbers) != 3:
-            raise click.BadParameter(f"hybrid schemes look like hybrid:2x4+2, got {text!r}")
-        return HybridScheme(numbers[0], ErasureScheme(numbers[1], numbers[2]))
     raise click.BadParameter(f"unknown scheme kind {kind!r} in {text!r}")
 
 
@@ -278,11 +273,8 @@ def _comparison_row(
     profile: LatencyProfile | None,
 ) -> dict:
     # replication lowers to the RS 1+(k-1) code, so one formula serves both
-    try:
-        code = code_of(scheme)
-    except TypeError:
-        code = None
-    if code is None or not code.mds:
+    code = code_of(scheme)
+    if not code.mds:
         raise click.UsageError(
             f"only replication and m+n schemes can be compared, got {scheme.label}"
         )
@@ -431,7 +423,7 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
         "unserved_trials": result.unserved_trials,
     })
     _emit(settings, payload)
-    if settings.check and result.z_score is not None and abs(result.z_score) > Z_CHECK_LIMIT:
+    if settings.check and abs(result.z_score) > Z_CHECK_LIMIT:
         click.echo(
             f"check failed: |z| = {abs(result.z_score):.2f} exceeds {Z_CHECK_LIMIT}",
             err=True,
@@ -444,14 +436,6 @@ def codec():
     """Encode, decode, and analyze fragment files."""
 
 
-def _linear_code(scheme, action: str):
-    """The linear code of a scheme; a scheme without one is a usage error."""
-    try:
-        return code_of(scheme)
-    except TypeError:
-        raise click.UsageError(f"cannot {action} scheme {scheme.label}") from None
-
-
 @codec.command("encode")
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--scheme", "scheme_text", required=True,
@@ -462,7 +446,7 @@ def _linear_code(scheme, action: str):
 @_translate_errors
 def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Path):
     """Encode a file into one fragment file per index."""
-    code = _linear_code(parse_scheme(scheme_text), "encode with")
+    code = code_of(parse_scheme(scheme_text))
     fragments = encode(code, input_file.read_bytes(), None)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +492,7 @@ def codec_decode(settings: Settings, fragment_files, out_file: Path):
 def codec_report(settings: Settings, scheme_text, max_t):
     """Recoverable fraction of every failure pattern size up to max-t."""
     scheme = parse_scheme(scheme_text)
-    code = _linear_code(scheme, "report on")
+    code = code_of(scheme)
     if max_t is None:
         max_t = min(4, code.count)
     report = recoverability_report(scheme, max_t)

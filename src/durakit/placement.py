@@ -3,19 +3,19 @@
 Data centers fail independently of one another (each with its own outage
 probability), and disks inside a reachable DC are independently unavailable
 with the model's p_unavail.  The DC outage probability is the one knob that
-introduces correlated unavailability between co-located fragments.
+introduces correlated unavailability between co-located fragments.  The
+exact answer folds over the data centers one at a time, so it costs
+O(d * fragments) for any number d of them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .codec.linear import code_of
 from .probability import DiskFailureModel, _check_prob, binomial_tail
-
-#: Largest DC count for which the exact 2**d outage enumeration runs.
-DEFAULT_ENUMERATION_CAP = 6
 
 
 @dataclass(frozen=True, init=False)
@@ -123,10 +123,10 @@ def ec_unavailability(
 ) -> float:
     """Probability fewer than m fragments are reachable, exact over DC outage states.
 
-    Sums over all 2**d outage subsets; conditional on the up/down pattern,
-    fragments in up DCs are independently unavailable with p_unavail, so the
-    reachable count is binomial.  Co-locating fragments can only raise this
-    number relative to the uncorrelated m+n tail.
+    Conditional on how many fragments sit in up DCs, each of them is
+    independently unavailable with p_unavail, so the reachable count is
+    binomial.  Co-locating fragments can only raise this number relative to
+    the uncorrelated m+n tail.
     """
     scheme = placement.scheme
     # replication lowers to the RS 1+(k-1) code rather than to itself
@@ -156,11 +156,6 @@ def placement_unavailability(
             f"unavailability needs an MDS code, got {placement.scheme.label}"
         )
     d = topology.dc_count
-    if d > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"exact enumeration capped at {DEFAULT_ENUMERATION_CAP} data centers "
-            f"(got {d}); use the Monte Carlo simulator beyond that"
-        )
     if placement.max_dc() >= d:
         raise ValueError(
             f"placement references dc {placement.max_dc()} outside topology "
@@ -171,24 +166,17 @@ def placement_unavailability(
     for dc in placement.assignment:
         per_dc[dc] += 1
 
+    # up[u]: probability that the DCs which are up hold u fragments; each DC
+    # is either out (up stays put) or up (up shifts by its fragment count)
+    up = [1.0]
+    for q, count in zip(topology.outage_probs, per_dc):
+        pad = [0.0] * count
+        up = [q * out + (1.0 - q) * held for out, held in zip(up + pad, pad + up)]
+
     need = code.k
     p_u = model.p_unavail
-    qs = topology.outage_probs
-    total = 0.0
-    for mask in range(1 << d):
-        prob = 1.0
-        up_fragments = 0
-        for dc in range(d):
-            if mask >> dc & 1:
-                prob *= qs[dc]
-            else:
-                prob *= 1.0 - qs[dc]
-                up_fragments += per_dc[dc]
-        if prob == 0.0:
-            continue
-        if up_fragments < need:
-            total += prob
-        else:
-            # fewer than need reachable <=> more than up_fragments - need unavailable
-            total += prob * binomial_tail(p_u, up_fragments, up_fragments - need)
+    # fewer than need reachable <=> more than u - need of the u up fragments unavailable
+    total = math.fsum(up[:need]) + math.fsum(
+        up[u] * binomial_tail(p_u, u, u - need) for u in range(need, len(up)) if up[u]
+    )
     return min(1.0, total)

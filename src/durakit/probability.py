@@ -92,29 +92,6 @@ class ErasureScheme:
         return f"ec:{self.m}+{self.n}"
 
 
-@dataclass(frozen=True)
-class HybridScheme:
-    """k full replicas of an erasure coded fragment set."""
-
-    k: int
-    inner: ErasureScheme
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"replica count must be >= 1, got {self.k}")
-
-    @property
-    def fragment_count(self) -> int:
-        return self.k * self.inner.fragment_count
-
-    @property
-    def label(self) -> str:
-        return f"hybrid:{self.k}x{self.inner.m}+{self.inner.n}"
-
-
-Scheme = ReplicationScheme | ErasureScheme | HybridScheme
-
-
 def binomial_tail(p: float, total: int, threshold: int) -> float:
     """P[X > threshold] for X ~ Binomial(total, p).
 
@@ -219,15 +196,12 @@ def parity_needed(
     )
 
 
-def redundancy_factor(scheme: Scheme) -> float:
-    """Storage multiplier of a scheme: k, (m+n)/m, or k*(m+n)/m."""
-    if isinstance(scheme, ReplicationScheme):
-        return float(scheme.k)
-    if isinstance(scheme, ErasureScheme):
-        return (scheme.m + scheme.n) / scheme.m
-    if isinstance(scheme, HybridScheme):
-        return scheme.k * (scheme.inner.m + scheme.inner.n) / scheme.inner.m
-    raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+def redundancy_factor(scheme) -> float:
+    """Storage multiplier of a scheme: fragments stored per data fragment."""
+    from .codec.linear import code_of  # deferred: the codec builds on this module
+
+    code = code_of(scheme)
+    return code.count / code.k
 
 
 def prob_any_failure(p: float, disks: int) -> float:

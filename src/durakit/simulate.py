@@ -42,8 +42,8 @@ class SimulationResult:
     events: int | None
     point_estimate: float
     standard_error: float
-    analytic: float | None
-    z_score: float | None
+    analytic: float
+    z_score: float
     unserved_trials: int | None = None
 
 
@@ -73,8 +73,8 @@ def _run_chunks(trials: int, threads: int, worker):
     return map_chunks(lambda i: worker(i, sizes[i]), range(len(sizes)), threads)
 
 
-def _guard_rare_event(analytic: float | None, trials: int) -> None:
-    if analytic is None or analytic == 0.0:
+def _guard_rare_event(analytic: float, trials: int) -> None:
+    if analytic == 0.0:
         return
     if analytic * trials < MIN_EXPECTED_EVENTS:
         needed = math.ceil(MIN_EXPECTED_EVENTS / analytic)
@@ -87,7 +87,7 @@ def _guard_rare_event(analytic: float | None, trials: int) -> None:
 
 
 def _bernoulli_result(
-    trials: int, events: int, analytic: float | None
+    trials: int, events: int, analytic: float
 ) -> SimulationResult:
     estimate = events / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -102,9 +102,7 @@ def _bernoulli_result(
     )
 
 
-def _z_score(estimate: float, analytic: float | None, se: float) -> float | None:
-    if analytic is None:
-        return None
+def _z_score(estimate: float, analytic: float, se: float) -> float:
     diff = estimate - analytic
     if se == 0.0:
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
@@ -149,19 +147,12 @@ def simulate_availability(
     cover.
     """
     _check_run_params(trials, seed, threads)
-    try:
-        # raises TypeError for any scheme that is not an MDS code
-        analytic = placement_unavailability(model, topology, placement)
-    except ValueError:
-        analytic = None  # beyond the exact enumeration cap
+    # raises TypeError for any scheme that is not an MDS code, and ValueError
+    # for a placement outside the topology
+    analytic = placement_unavailability(model, topology, placement)
     need = code_of(placement.scheme).k
     _guard_rare_event(analytic, trials)
 
-    if placement.max_dc() >= topology.dc_count:
-        raise ValueError(
-            f"placement references dc {placement.max_dc()} outside topology "
-            f"of {topology.dc_count} data centers"
-        )
     qs = np.array(topology.outage_probs)
     assignment = np.array(placement.assignment)
     fragment_total = len(placement.assignment)

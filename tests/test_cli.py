@@ -9,7 +9,6 @@ from durakit.cli import main, parse_scheme
 from durakit.latency import approx_latency_ec, approx_latency_replication
 from durakit.probability import (
     ErasureScheme,
-    HybridScheme,
     ReplicationScheme,
     prob_any_failure,
     prob_loss_ec,
@@ -35,7 +34,6 @@ class TestSchemeGrammar:
         ("ec:8+3", ErasureScheme(8, 3)),
         ("rs-6-3", ErasureScheme(6, 3)),
         ("EC:12+4", ErasureScheme(12, 4)),
-        ("hybrid:2x4+2", HybridScheme(2, ErasureScheme(4, 2))),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_scheme(text) == expected
@@ -166,6 +164,25 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--p", "0.01", "--scheme", "rep:3"])
         assert result.exit_code == 2
 
+    def test_nine_dcs_are_exact(self, runner):
+        from durakit.placement import (
+            Topology,
+            balanced_placement,
+            placement_unavailability,
+        )
+        from durakit.probability import DiskFailureModel
+
+        result = runner.invoke(main, ["--format", "json", *self.ARGS,
+                                      "--dcs", "9", "--q", "0.01"])
+        assert result.exit_code == 0
+        topo = Topology(9, 0.01)
+        model = DiskFailureModel(p_dead=0.005, p_unavail=0.005)
+        rows = json.loads(result.output)["rows"]
+        for row, scheme in zip(rows, (ReplicationScheme(3), ErasureScheme(8, 3))):
+            assert row["unavailability"] == placement_unavailability(
+                model, topo, balanced_placement(scheme, topo)
+            )
+
     def test_lrc_not_comparable(self, runner):
         result = runner.invoke(main, ["compare", "--p", "0.01",
                                       "--scheme", "rep:3", "--scheme", "lrc"])
@@ -242,7 +259,7 @@ class TestSimulateCommand:
 
     def test_availability_with_colocated_replicas(self, runner):
         # more replicas than DCs: the balanced placement co-locates and the
-        # analytic counterpart still comes from the exact enumeration
+        # analytic counterpart is still exact
         payload = json.loads(invoke(runner, [
             "--format", "json", "--seed", "3", "simulate", "--scenario",
             "availability", "--dcs", "2", "--q", "0.05", "--p-unavail", "0.1",
@@ -396,7 +413,7 @@ class TestCodecCommands:
     def test_report_hybrid_is_usage_error(self, runner):
         result = runner.invoke(main, ["codec", "report", "--scheme", "hybrid:2x4+2"])
         assert result.exit_code == 2
-        assert "cannot report on scheme hybrid:2x4+2" in result.output
+        assert "unknown scheme kind" in result.output
 
     def test_report_default_max_t_clamps_to_fragment_count(self, runner):
         result = invoke(runner, ["--format", "json", "codec", "report",

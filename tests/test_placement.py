@@ -178,12 +178,33 @@ class TestEcUnavailability:
                 value = ec_unavailability(model, topo, balanced_placement(scheme, topo))
                 assert value < dcs**2 * q**2  # second order: one outage is survivable
 
-    def test_enumeration_cap(self):
-        model = DiskFailureModel(0.001)
-        topo = Topology(7, 0.01)
-        placement = balanced_placement(ErasureScheme(8, 4), topo)
-        with pytest.raises(ValueError, match="enumeration"):
-            ec_unavailability(model, topo, placement)
+    @pytest.mark.parametrize(
+        "m,n,qs,p_u",
+        [
+            (4, 3, (0.01, 0.2, 0.05, 0.3, 0.001, 0.1, 0.07), 0.03),
+            (5, 3, (0.15, 0.002, 0.04, 0.25, 0.09, 0.01, 0.3, 0.06), 0.1),
+        ],
+        ids=["rs4+3-d7", "rs5+3-d8"],
+    )
+    def test_beyond_six_dcs_matches_joint_enumeration(self, m, n, qs, p_u):
+        model = DiskFailureModel(p_dead=0.0, p_unavail=p_u)
+        topo = Topology(len(qs), qs)
+        assignment = tuple(range(m + n))  # one fragment per DC
+        expected = enumerate_unavailability(p_u, qs, assignment, m)
+        assert ec_unavailability(
+            model, topo, Placement(ErasureScheme(m, n), assignment)
+        ) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dcs", range(1, 11))
+    def test_no_outages_is_the_loss_tail_bit_for_bit(self, dcs):
+        topo = Topology(dcs, 0.0)
+        for m, n in [(8, 3), (4, 2), (10, 4), (1, 2)]:
+            for p_u in (1e-12, 1e-4, 0.05):
+                model = DiskFailureModel(p_dead=0.0, p_unavail=p_u)
+                placement = balanced_placement(ErasureScheme(m, n), topo)
+                assert placement_unavailability(model, topo, placement) == prob_loss_ec(
+                    p_u, m, n
+                )
 
     def test_placement_outside_topology_rejected(self):
         model = DiskFailureModel(0.001)

@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
+from durakit.codec import LRC_6_2_2
 from durakit.errors import SolverBoundError
 from durakit.probability import (
     DiskFailureModel,
     ErasureScheme,
-    HybridScheme,
     ReplicationScheme,
     binomial_tail,
     gaussian_parity_estimate,
@@ -254,11 +254,8 @@ class TestRedundancyFactor:
                 ErasureScheme(1, k - 1)
             )
 
-    def test_degenerate_hybrid_is_triple_replication(self):
-        assert redundancy_factor(HybridScheme(3, ErasureScheme(1, 0))) == 3.0
-
-    def test_hybrid(self):
-        assert redundancy_factor(HybridScheme(2, ErasureScheme(4, 2))) == 3.0
+    def test_lrc_6_2_2(self):
+        assert redundancy_factor(LRC_6_2_2) == 10 / 6
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
@@ -350,14 +347,11 @@ class TestDomainTypes:
             ErasureScheme(0, 3)
         with pytest.raises(ValueError):
             ErasureScheme(4, -1)
-        with pytest.raises(ValueError):
-            HybridScheme(0, ErasureScheme(4, 2))
 
     def test_labels_and_counts(self):
         assert ErasureScheme(8, 3).label == "ec:8+3"
         assert ErasureScheme(8, 3).fragment_count == 11
         assert ReplicationScheme(3).fragment_count == 3
-        assert HybridScheme(2, ErasureScheme(4, 2)).fragment_count == 12
 
     def test_redundancy_factor_at_least_one(self):
         assert redundancy_factor(ErasureScheme(9, 0)) == 1.0

@@ -175,14 +175,15 @@ class TestAvailabilityScenario:
         assert result.analytic == placement_unavailability(model, topo, placement)
         assert abs(result.z_score) < 4
 
-    def test_beyond_enumeration_cap_runs_without_analytic(self):
-        model = DiskFailureModel(p_dead=0.0, p_unavail=0.2)
-        topo = Topology(7, 0.05)
+    @pytest.mark.parametrize("dcs", [7, 8, 9, 10])
+    def test_beyond_six_dcs_cross_checked(self, dcs):
+        model = DiskFailureModel(p_dead=0.0, p_unavail=0.1)
+        topo = Topology(dcs, tuple(0.02 + 0.01 * i for i in range(dcs)))
         placement = balanced_placement(ErasureScheme(8, 4), topo)
-        result = simulate_availability(model, topo, placement, 20_000, seed=3)
-        assert result.analytic is None
-        assert result.z_score is None
-        assert result.events > 0
+        result = simulate_availability(model, topo, placement, 200_000, seed=dcs)
+        assert result.analytic == placement_unavailability(model, topo, placement)
+        assert result.events > 1_000
+        assert abs(result.z_score) < 4
 
     def test_unknown_scheme_rejected(self):
         model = DiskFailureModel(0.0)
