@@ -22,6 +22,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
@@ -112,6 +113,7 @@ class Fragment:
             object.__setattr__(self, "_verified", True)
 
 
+@lru_cache(maxsize=256)  # the deferred import alone outweighs the rest of framing
 def _scheme_wire_params(scheme) -> tuple[int, int, int]:
     from .lrc import LrcScheme  # deferred: lrc builds on Fragment
 
@@ -143,6 +145,23 @@ def fragment_to_bytes(fragment: Fragment) -> bytes:
     return b"".join((header, fragment.payload, _TRAILER.pack(fragment.checksum)))
 
 
+@lru_cache(maxsize=1024)  # a stream repeats a few headers; hostile ones stay bounded
+def _scheme_from_wire(tag: int, p1: int, p2: int):
+    if tag == SCHEME_TAG_RS:
+        if p1 < 1 or p1 + p2 > MAX_TOTAL_FRAGMENTS:
+            raise MalformedFragmentError(f"invalid RS parameters m={p1}, n={p2}")
+        return ErasureScheme(p1, p2)
+    if tag == SCHEME_TAG_LRC:
+        from .lrc import LRC_6_2_2  # deferred: lrc builds on Fragment
+
+        if p1 != LRC_6_2_2.data_fragments or p2 != LRC_GROUP_DESCRIPTOR:
+            raise MalformedFragmentError(
+                f"invalid LRC descriptor ({p1}, {p2:#04x})"
+            )
+        return LRC_6_2_2
+    raise MalformedFragmentError(f"unknown scheme tag {tag}")
+
+
 def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:
     if len(data) < _HEADER.size + _TRAILER.size:
         raise MalformedFragmentError(
@@ -168,21 +187,7 @@ def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:
     if original_length < 1:
         raise MalformedFragmentError("original_length must be >= 1")
 
-    if tag == SCHEME_TAG_RS:
-        if p1 < 1 or p1 + p2 > MAX_TOTAL_FRAGMENTS:
-            raise MalformedFragmentError(f"invalid RS parameters m={p1}, n={p2}")
-        scheme = ErasureScheme(p1, p2)
-    elif tag == SCHEME_TAG_LRC:
-        from .lrc import LRC_6_2_2
-
-        if p1 != LRC_6_2_2.data_fragments or p2 != LRC_GROUP_DESCRIPTOR:
-            raise MalformedFragmentError(
-                f"invalid LRC descriptor ({p1}, {p2:#04x})"
-            )
-        scheme = LRC_6_2_2
-    else:
-        raise MalformedFragmentError(f"unknown scheme tag {tag}")
-
+    scheme = _scheme_from_wire(tag, p1, p2)
     if index >= scheme.fragment_count:
         raise MalformedFragmentError(
             f"index {index} outside scheme with {scheme.fragment_count} fragments"

@@ -2,16 +2,21 @@
 
 Tables are built once at import and never mutated, so everything here is
 safe to call concurrently.  Scalar helpers back the matrix algebra; bulk
-payload math goes through numpy gathers, in ``combine``:
+payload math goes through numpy gathers, in ``combine``, which applies a
+whole coefficient matrix to a set of equal-length sources:
 
-- Payloads shorter than ``PAIR_MIN_BYTES`` take one gather per source on the
-  256x256 byte table (``addmul_bytes``); there per-call cost dominates.
-- Longer payloads are read as little-endian byte pairs.  Each coefficient
-  of 2 or more in the call gets a 65,536-entry uint16 pair table (a split
-  table in the sense of Plank, Greenan and Miller, FAST 2013), so one gather
-  multiplies two bytes; an odd last byte takes the byte table.  The tables
-  take about 20 us each to build and are dropped when the call returns;
-  caching one per coefficient costs more memory than it saves time.
+- Payloads shorter than ``PAIR_MIN_BYTES`` take one gather for all the
+  products of the call, on the flattened 256x256 byte table, and one XOR
+  reduction over the sources; there per-call cost dominates.  The gather
+  works in fixed blocks of at most ``GATHER_ITEMS`` products, so its index
+  buffer stays bounded whatever the code's size.
+- Longer payloads are read as little-endian byte pairs, one output row at a
+  time.  Each coefficient of 2 or more in a row gets a 65,536-entry uint16
+  pair table (a split table in the sense of Plank, Greenan and Miller, FAST
+  2013), so one gather multiplies two bytes; an odd last byte takes the byte
+  table.  The tables take about 20 us each to build and are dropped when the
+  row is done; caching one per coefficient costs more memory than it saves
+  time.
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
   up to ``os.cpu_count()`` threads (numpy's gathers release the interpreter
   lock).  Every output byte depends only on the same bytes of the sources,
@@ -89,6 +94,12 @@ def addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
 PAIR_MIN_BYTES = 64 * 1024
 #: Stripe length; even, so only the last stripe can end on an odd byte.
 STRIPE_BYTES = 256 * 1024
+#: Products per gather below ``PAIR_MIN_BYTES``: bounds the call's intp index
+#: buffer at 2 MiB, while a 4 KiB object under RS 8+3, RS 10+4 or the LRC
+#: still takes one block.
+GATHER_ITEMS = 1 << 18
+
+_FLAT_TABLE = MUL_TABLE.ravel()
 
 _PAIR = np.dtype("<u2")
 
@@ -99,15 +110,44 @@ def _pair_table(coeff: int) -> np.ndarray:
     return ((row[:, None] << 8) | row[None, :]).ravel()
 
 
-def combine(coeffs, sources) -> np.ndarray:
-    """Sum of coeffs[i] * sources[i] over equal-length uint8 arrays."""
-    length = len(sources[0])
-    acc = np.zeros(length, dtype=np.uint8)
-    if length < PAIR_MIN_BYTES:
-        for coeff, source in zip(coeffs, sources):
-            addmul_bytes(acc, coeff, source)
-        return acc
+def combine(matrix, sources) -> np.ndarray:
+    """Row i of the result is the sum of matrix[i][j] * sources[j].
 
+    ``sources`` are equal-length byte buffers (``bytes`` or uint8 arrays);
+    the result is a (rows, length) uint8 array, with no rows for an empty
+    matrix.
+    """
+    length = len(sources[0])
+    if length >= PAIR_MIN_BYTES:
+        out = np.zeros((len(matrix), length), dtype=np.uint8)
+        arrays = [np.frombuffer(source, dtype=np.uint8) for source in sources]
+        for coeffs, acc in zip(matrix, out):
+            _combine_pairs(coeffs, arrays, acc)
+        return out
+
+    count = len(sources)
+    high = np.asarray(matrix, dtype=np.intp).reshape(len(matrix), count, 1) << 8
+    out = np.empty((len(matrix), length), dtype=np.uint8)
+    # a block spans at least GATHER_ITEMS / 256 columns, so one row over up
+    # to 256 sources fits and numpy's inner loops stay long on large codes
+    cols = GATHER_ITEMS // min(256, max(1, high.size))
+    rows = max(1, GATHER_ITEMS // (count * cols))
+    for start in range(0, length, cols):
+        # slicing costs more than the join itself when one block is the call
+        parts = sources if cols >= length else [
+            memoryview(source)[start : start + cols] for source in sources
+        ]
+        low = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(count, -1)
+        for first in range(0, len(out), rows):
+            products = _FLAT_TABLE.take(high[first : first + rows] | low)
+            part = out[first : first + rows, start : start + cols]
+            np.bitwise_xor.reduce(products, axis=1, out=part)
+    return out
+
+
+def _combine_pairs(coeffs, sources, acc: np.ndarray) -> None:
+    """acc ^= sum of coeffs[i] * sources[i], through pair tables, in stripes."""
+    length = len(acc)
     terms = [(coeff, source) for coeff, source in zip(coeffs, sources) if coeff]
     tables = {coeff: _pair_table(coeff) for coeff, _ in terms if coeff > 1}
     starts = range(0, length, STRIPE_BYTES)
@@ -138,7 +178,6 @@ def combine(coeffs, sources) -> np.ndarray:
     half = STRIPE_BYTES // 2
     jobs = [(w, np.empty(half, np.intp), np.empty(half, _PAIR)) for w in range(workers)]
     map_chunks(run, jobs, threads=workers)
-    return acc
 
 
 def row_reduce(rows, cols: int) -> list[list[int]]:

@@ -65,13 +65,13 @@ def code_of(scheme) -> LinearCode:
         return code_of(ErasureScheme(1, scheme.k - 1))
     if isinstance(scheme, ErasureScheme):
         return LinearCode(
-            scheme, k=scheme.m, mds=True, local_sets=(),
+            scheme, k=scheme.data_fragments, mds=True, local_sets=(),
             build_rows=lambda: rs.generator_matrix(scheme.m, scheme.n),
         )
     if isinstance(scheme, lrc.LrcScheme):
         return LinearCode(
-            scheme, k=lrc.DATA_COUNT, mds=False, local_sets=lrc.LOCAL_REPAIR_SETS,
-            build_rows=lrc.generator_rows,
+            scheme, k=scheme.data_fragments, mds=False,
+            local_sets=lrc.LOCAL_REPAIR_SETS, build_rows=lrc.generator_rows,
         )
     raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
@@ -99,8 +99,7 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
-    shards = [np.frombuffer(payload, dtype=np.uint8) for payload in payloads]
-    payloads += [gf256.combine(row, shards).tobytes() for row in rows[k:]]
+    payloads += [parity.tobytes() for parity in gf256.combine(rows[k:], payloads)]
     return [
         Fragment(object_id, code.scheme, i, payload, len(data))
         for i, payload in enumerate(payloads)
@@ -133,6 +132,42 @@ def _collect(code: LinearCode, fragments: list[Fragment]) -> dict[int, Fragment]
     return by_index
 
 
+@lru_cache(maxsize=1024)
+def _reduction(
+    code: LinearCode, missing: tuple[int, ...], parity: tuple[int, ...]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """How the missing data shards follow from the surviving ones.
+
+    Returns one coefficient row per missing shard, over the known data shards
+    and then the parities it reads, and those parities in ``parity`` order.
+    It depends only on its arguments, and small objects keep meeting the
+    same survivor sets, so it is cached.
+    """
+    rows, e = code.rows, len(missing)
+    known = [j for j in range(code.k) if j not in missing]
+    # parity_i = A_i x_missing + C_i x_known, so reducing [A | C | I] on
+    # the A block gives x_missing = C' x_known + U' parity (char 2)
+    system = [
+        [rows[i][j] for j in missing]
+        + [rows[i][j] for j in known]
+        + [int(i == t) for t in parity]
+        for i in parity
+    ]
+    reduced = gf256.row_reduce(system, e)
+    if len(reduced) < e:
+        raise UnrecoverableError(
+            f"surviving fragments leave {e - len(reduced)} data shard(s) undetermined"
+        )
+    units = [row[e + len(known) :] for row in reduced]
+    read = [t for t in range(len(parity)) if any(u[t] for u in units)]
+    matrix = np.array(
+        [r[e : e + len(known)] + [u[t] for t in read] for r, u in zip(reduced, units)],
+        dtype=np.uint8,
+    )
+    matrix.setflags(write=False)  # the cache hands the same array to every caller
+    return matrix, tuple(parity[t] for t in read)
+
+
 def solve(
     code: LinearCode, fragments: Iterable[Fragment]
 ) -> tuple[bytes, tuple[int, ...]]:
@@ -154,36 +189,16 @@ def solve(
         )
 
     shards = {j: by_index[j].payload for j in range(k) if j in by_index}
-    known = list(shards)
-    missing = [j for j in range(k) if j not in by_index]
-    e = len(missing)
-    used = list(known)
+    used = tuple(shards)
+    missing = tuple(j for j in range(k) if j not in by_index)
     if missing:
-        rows = code.rows
-        parity = [i for i in sorted(by_index) if i >= k]
+        parity = tuple(i for i in sorted(by_index) if i >= k)
         if code.mds:
-            parity = parity[:e]  # any e parity rows of an MDS code will do
-        # parity_i = A_i x_missing + C_i x_known, so reducing [A | C | I] on
-        # the A block gives x_missing = C' x_known + U' parity (char 2)
-        system = [
-            [rows[i][j] for j in missing]
-            + [rows[i][j] for j in known]
-            + [int(i == t) for t in parity]
-            for i in parity
-        ]
-        reduced = gf256.row_reduce(system, e)
-        if len(reduced) < e:
-            raise UnrecoverableError(
-                f"surviving fragments leave {e - len(reduced)} data shard(s) "
-                "undetermined"
-            )
-        sources = [
-            np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in known + parity
-        ]
-        for j, row in zip(missing, reduced):
-            shards[j] = gf256.combine(row[e:], sources)
-        units = [row[e + len(known):] for row in reduced]
-        used += [i for t, i in enumerate(parity) if any(u[t] for u in units)]
+            parity = parity[: len(missing)]  # any e parity rows of an MDS code will do
+        matrix, read = _reduction(code, missing, parity)
+        used += read
+        sources = [by_index[i].payload for i in used]
+        shards.update(zip(missing, gf256.combine(matrix, sources)))
     # whole shards go in as they are, so a one-shard object (a replica) that
     # survived is returned without a copy
     length, size = fragments[0].original_length, fragments[0].payload_len
@@ -192,7 +207,7 @@ def solve(
         else memoryview(shards[j])[: max(0, length - j * size)]
         for j in range(k)
     )
-    return data, tuple(used)
+    return data, used
 
 
 def decode(fragments: Iterable[Fragment], mds: bool) -> bytes:

@@ -66,6 +66,11 @@ class ReplicationScheme:
         return self.k
 
     @property
+    def data_fragments(self) -> int:
+        """One: every copy is the whole object, as in RS 1+(k-1)."""
+        return 1
+
+    @property
     def label(self) -> str:
         return f"rep:{self.k}"
 
@@ -86,6 +91,10 @@ class ErasureScheme:
     @property
     def fragment_count(self) -> int:
         return self.m + self.n
+
+    @property
+    def data_fragments(self) -> int:
+        return self.m
 
     @property
     def label(self) -> str:
@@ -198,10 +207,10 @@ def parity_needed(
 
 def redundancy_factor(scheme) -> float:
     """Storage multiplier of a scheme: fragments stored per data fragment."""
-    from .codec.linear import code_of  # deferred: the codec builds on this module
-
-    code = code_of(scheme)
-    return code.count / code.k
+    try:
+        return scheme.fragment_count / scheme.data_fragments
+    except AttributeError:
+        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}") from None
 
 
 def prob_any_failure(p: float, disks: int) -> float:

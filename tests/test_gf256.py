@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from durakit import parallel
 from durakit.codec import gf256
+from durakit.codec.rs import parity_matrix
 
 
 ALL = np.arange(256, dtype=np.uint8)
@@ -106,15 +109,52 @@ class TestCombine:
         rng = np.random.default_rng(length)
         sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in self.COEFFS]
         expected = self.reference(self.COEFFS, sources)
-        assert np.array_equal(gf256.combine(self.COEFFS, sources), expected)
+        assert np.array_equal(gf256.combine([self.COEFFS], sources), expected[None])
         for coeff, source in zip(self.COEFFS, sources):
-            alone = gf256.combine([coeff], [source])
-            assert np.array_equal(alone, self.reference([coeff], [source]))
+            alone = gf256.combine([[coeff]], [source])
+            assert np.array_equal(alone, self.reference([coeff], [source])[None])
         stripes = -(-length // gf256.STRIPE_BYTES)
         if cpus == 2 and length >= gf256.PAIR_MIN_BYTES and stripes > 1:
             assert pools and set(pools) == {2}
         else:
             assert pools == []
+
+    # 512 is the RS 8+3 shard of a 4 KiB object; 65,535 takes several blocks
+    @pytest.mark.parametrize("length", (1, 511, 512, 4096, 65535))
+    def test_matrix_matches_per_row_loop(self, length):
+        rng = np.random.default_rng(length)
+        sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(8)]
+        matrix = [
+            [0, 1, 2, 255, 0, 1, 2, 255],
+            [255, 2, 1, 0, 255, 2, 1, 0],
+            [0] * 8,
+            [int(c) for c in rng.integers(0, 256, 8)],
+        ]
+        result = gf256.combine(matrix, sources)
+        assert result.shape == (4, length) and result.dtype == np.uint8
+        for row, got in zip(matrix, result):
+            assert np.array_equal(got, self.reference(row, sources))
+        single = gf256.combine([[0], [1], [2], [255]], sources[:1])
+        for coeff, got in zip((0, 1, 2, 255), single):
+            assert np.array_equal(got, self.reference([coeff], sources[:1]))
+        # an RS m+0 code has no parity rows
+        assert gf256.combine([], sources).shape == (0, length)
+
+    def test_matrix_gather_memory_is_bounded(self):
+        # unblocked, the index of RS 200+55 over 65,535-byte shards would be
+        # 55 * 200 * 65535 * 8 bytes, about 5.8 GB
+        rng = np.random.default_rng(255)
+        sources = [rng.integers(0, 256, 65535, dtype=np.uint8) for _ in range(200)]
+        matrix = parity_matrix(200, 55)
+        tracemalloc.start()
+        try:
+            result = gf256.combine(matrix, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (55, 65535)
+        assert peak < 3 * result.nbytes
+        assert np.array_equal(result[7], self.reference(matrix[7], sources))
 
 
 class TestMatrixAlgebra:

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from durakit.codec import gf256, linear
 from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.lrc import LRC_6_2_2, lrc_recoverable
 from durakit.errors import UnrecoverableError
@@ -54,3 +55,53 @@ def test_surviving_replica_is_returned_without_a_copy():
     assert used == (0,)
     restored, used = solve(code, fragments[2:])
     assert restored == data and used == (2,)
+
+
+class TestReductionCache:
+    """``solve`` reduces once per (code, survivor set) and reuses the result."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        linear._reduction.cache_clear()
+        calls = []
+        real = gf256.row_reduce
+
+        def counting(rows, cols):
+            calls.append(cols)
+            return real(rows, cols)
+
+        monkeypatch.setattr(gf256, "row_reduce", counting)
+        yield calls
+        linear._reduction.cache_clear()
+
+    def test_same_survivor_set_reduces_once(self, reductions):
+        code = code_of(ErasureScheme(8, 3))
+        data = random.Random(5).randbytes(4096)
+        survivors = encode(code, data, None)[3:]
+        first = solve(code, survivors)
+        assert solve(code, survivors) == first
+        assert first == (data, (3, 4, 5, 6, 7, 8, 9, 10))
+        assert reductions == [3]
+
+    def test_codes_with_the_same_indices_are_separate_entries(self, reductions):
+        for scheme in (ErasureScheme(8, 3), ErasureScheme(10, 4)):
+            code = code_of(scheme)
+            data = random.Random(scheme.m).randbytes(4096)
+            survivors = encode(code, data, None)[3:]
+            assert solve(code, survivors)[0] == data
+        assert reductions == [3, 3]
+        assert linear._reduction.cache_info().currsize == 2
+
+    def test_unrecoverable_pattern_raises_every_time(self, reductions):
+        code = code_of(LRC_6_2_2)
+        lost = next(
+            lost for lost in combinations(range(code.count), 4)
+            if not lrc_recoverable(lost)
+        )
+        fragments = encode(code, random.Random(6).randbytes(600), None)
+        survivors = [f for f in fragments if f.index not in lost]
+        reductions.clear()  # lrc_recoverable's rank tests reduce too
+        for _ in range(2):
+            with pytest.raises(UnrecoverableError):
+                solve(code, survivors)
+        assert len(reductions) == 2

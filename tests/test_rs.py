@@ -144,6 +144,27 @@ class TestDecode:
             subset = rng.sample(range(total), m)
             assert rs_decode([fragments[i] for i in subset]) == data
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_codes_random_subsets_up_to_the_field_size(self, seed):
+        rng = random.Random(255 + seed)
+        total = 255 if seed < 2 else rng.randint(17, 254)
+        m = rng.randint(1, total - 1)
+        data = rng.randbytes(rng.randint(1, 8192))
+        fragments = rs_encode(data, m, total - m)
+        for _ in range(2):
+            subset = rng.sample(range(total), m)
+            assert rs_decode([fragments[i] for i in subset]) == data
+
+    def test_random_subsets_of_65535_byte_shards(self):
+        # the largest shard below the striped path, on a mid-size code
+        rng = random.Random(2012)
+        data = rng.randbytes(20 * 65535 - 7)
+        fragments = rs_encode(data, 20, 12)
+        assert fragments[0].payload_len == 65535
+        for _ in range(3):
+            subset = rng.sample(range(32), 20)
+            assert rs_decode([fragments[i] for i in subset]) == data
+
     def test_parity_only_decode(self):
         data = make_object(97, seed=4)
         fragments = rs_encode(data, 3, 3)
