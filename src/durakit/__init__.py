@@ -37,6 +37,7 @@ from .latency import (
     LatencyProfile,
     approx_latency_ec,
     approx_latency_replication,
+    ec_read_latency_expectation,
     expected_latency_replication,
 )
 from .placement import (
@@ -64,7 +65,6 @@ from .probability import (
 )
 from .simulate import (
     SimulationResult,
-    ec_read_latency_expectation,
     simulate_availability,
     simulate_latency,
     simulate_loss,

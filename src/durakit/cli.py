@@ -16,6 +16,7 @@ import io
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +80,9 @@ def _translate_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return fn(*args, **kwargs)
         except (SolverBoundError, RareEventError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_SOLVER)
@@ -98,6 +101,10 @@ def _translate_errors(fn):
             sys.exit(EXIT_MALFORMED)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        finally:
+            # one plain line per distinct library warning, not Python's source echo
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                click.echo(f"warning: {message}", err=True)
 
     return wrapper
 

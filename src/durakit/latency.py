@@ -6,6 +6,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .probability import ErasureScheme, binomial_tail
+
 
 @dataclass(frozen=True)
 class LatencyProfile:
@@ -80,3 +82,23 @@ def approx_latency_ec(l1: float, l2: float, p: float, m: int) -> float:
             stacklevel=2,
         )
     return (1.0 - p) * l1 + m * p * l2
+
+
+def ec_read_latency_expectation(
+    profile: LatencyProfile, p: float, scheme: ErasureScheme
+) -> float:
+    """Exact mean of the simulated erasure coded read latency model.
+
+    All m data fragments sit at the nearest site; with no local failure the
+    read costs L1, with 1..n failures the missing shards are fetched remotely
+    in parallel for L2, and with more than n failures the request cannot be
+    served (contributing zero, reported separately by the simulator).
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must be in [0, 1), got {p!r}")
+    if profile.site_count < 2:
+        raise ValueError("EC latency needs a two-site profile (local, remote)")
+    l1, l2 = profile.latencies[0], profile.latencies[1]
+    p_none = (1.0 - p) ** scheme.m
+    p_unserved = binomial_tail(p, scheme.m, scheme.n)
+    return p_none * l1 + (1.0 - p_none - p_unserved) * l2

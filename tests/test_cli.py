@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -483,3 +484,40 @@ class TestCurve:
         result = runner.invoke(main, ["curve", "--x", "p", "--values", "a,b",
                                       "--scheme", "rep:3", "--scheme", "ec:4+2"])
         assert result.exit_code == 2
+
+
+class TestHostileInput:
+    LOSS = ["simulate", "--scenario", "loss", "--p", "0.1", "--m", "2", "--n", "1"]
+
+    def test_huge_trials_is_usage_error(self, runner):
+        result = runner.invoke(main, [*self.LOSS, "--trials", "1000000000000000"])
+        assert result.exit_code == 2
+        assert "MAX_TRIALS" in result.stderr
+
+    def test_zero_trials_is_usage_error_not_the_guard(self, runner):
+        result = runner.invoke(main, [*self.LOSS, "--trials", "0"])
+        assert result.exit_code == 2
+
+
+class TestWarnings:
+    ARGS = ["--format", "json", "compare", "--p", "0.3", "--p-unavail", "0.4",
+            "--scheme", "rep:4", "--scheme", "ec:10+4", "--scheme", "ec:20+10",
+            "--dcs", "4", "--q", "0.05", "--latencies", "2,80"]
+
+    def test_library_warnings_are_one_plain_line_each(self, runner):
+        result = runner.invoke(main, self.ARGS)
+        assert result.exit_code == 0
+        lines = result.stderr.splitlines()
+        # m*p = 4 for ec:10+4 and 8 for ec:20+10; rep:4 lowers to m = 1
+        assert len(lines) == 2
+        assert all(line.startswith("warning: m*p = ") for line in lines)
+        assert "UserWarning" not in result.stderr
+        assert "cli.py" not in result.stderr
+        assert len(json.loads(result.stdout)["rows"]) == 3
+
+    def test_warnings_never_escape_as_errors(self, runner):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, self.ARGS)
+        assert result.exit_code == 0
+        assert "warning:" in result.stderr

@@ -213,3 +213,35 @@ class TestDecodeValidation:
 
         with pytest.raises(InconsistentFragmentsError):
             rs_decode(lrc_encode(b"some data for the lrc"))
+
+
+class TestThreadCountIdentity:
+    SHARD = 3 * gf256.STRIPE_BYTES + 1  # three full stripes and a one-byte tail
+
+    @pytest.mark.parametrize("kind", ["rs:8+3", "lrc:6+2+2"])
+    def test_fragments_and_decodes_same_at_any_cpu_count(self, kind, monkeypatch):
+        from durakit import parallel
+        from durakit.codec.lrc import lrc_decode, lrc_encode
+
+        if kind == "rs:8+3":
+            data = make_object(8 * self.SHARD, seed=91)
+            encode, decode, lost = (lambda d: rs_encode(d, 8, 3)), rs_decode, {0, 1, 2}
+        else:
+            data = make_object(6 * self.SHARD, seed=92)
+            encode, decode, lost = lrc_encode, lrc_decode, {0, 1, 3}
+
+        def run():
+            fragments = encode(data)
+            survivors = [f for f in fragments if f.index not in lost]
+            return fragments, decode(survivors)
+
+        runs = []
+        for cpus in (1, 2, None):
+            with monkeypatch.context() as patch:
+                if cpus is not None:
+                    patch.setattr(parallel.os, "cpu_count", lambda: cpus)
+                runs.append(run())
+        fragments, decoded = runs[0]
+        assert fragments[0].payload_len == self.SHARD
+        assert decoded == data
+        assert all(other == runs[0] for other in runs[1:])

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from durakit import latency, parallel, simulate
 from durakit.errors import RareEventError
 from durakit.latency import LatencyProfile, expected_latency_replication
 from durakit.parallel import worker_count
@@ -257,3 +258,62 @@ class TestLatencyScenario:
     def test_rejects_p_of_one(self):
         with pytest.raises(ValueError):
             simulate_latency(LatencyProfile((1.0, 2.0)), 1.0, 100, seed=0)
+
+
+SCENARIOS = {
+    "loss": lambda trials, seed, threads: simulate_loss(
+        0.2, 4, 2, trials, seed=seed, threads=threads),
+    "availability": lambda trials, seed, threads: simulate_availability(
+        DiskFailureModel(p_dead=0.0, p_unavail=0.05), Topology(3, (0.01, 0.05, 0.1)),
+        balanced_placement(ErasureScheme(4, 2), Topology(3, (0.01, 0.05, 0.1))),
+        trials, seed=seed, threads=threads),
+    "latency-replication": lambda trials, seed, threads: simulate_latency(
+        LatencyProfile((1.0, 20.0, 100.0)), 0.05, trials, seed=seed, threads=threads),
+    "latency-ec": lambda trials, seed, threads: simulate_latency(
+        LatencyProfile((1.0, 100.0)), 0.05, trials, seed=seed, threads=threads,
+        ec=ErasureScheme(8, 3)),
+}
+
+
+class TestEngine:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_every_scenario_identical_at_any_thread_count(self, name):
+        trials = 3 * simulate.CHUNK_TRIALS + 17  # three full chunks and a partial one
+        base = SCENARIOS[name](trials, 11, 1)
+        assert base.trials == trials
+        for threads in (2, os.cpu_count() or 1):
+            assert SCENARIOS[name](trials, 11, threads) == base
+
+    def test_one_work_item_per_worker(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(parallel.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+        trials = 20 * simulate.CHUNK_TRIALS + 1  # 21 chunks
+        result = simulate_loss(0.2, 2, 1, trials, seed=1, threads=2)
+        assert 1 <= len(submitted) <= 2
+        assert result == simulate_loss(0.2, 2, 1, trials, seed=1, threads=1)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_too_many_trials_rejected_before_any_draw(self, name, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew trials for a refused run")
+
+        monkeypatch.setattr(simulate.np.random, "Philox", no_draws)
+        with pytest.raises(ValueError, match="MAX_TRIALS"):
+            SCENARIOS[name](simulate.MAX_TRIALS + 1, 0, 1)
+
+    def test_guard_names_the_trial_cap_when_it_is_out_of_reach(self):
+        # prob_loss_ec(1e-4, 1, 2) = 1e-12 needs 1e13 trials, beyond MAX_TRIALS
+        assert prob_loss_ec(1e-4, 1, 2) == pytest.approx(1e-12)
+        with pytest.raises(RareEventError, match="exceed MAX_TRIALS") as info:
+            simulate_loss(1e-4, 1, 2, 1_000_000, seed=0)
+        assert "increase trials" not in str(info.value)
+
+    def test_ec_expectation_lives_with_the_latency_formulas(self):
+        assert simulate.ec_read_latency_expectation is latency.ec_read_latency_expectation
