@@ -30,15 +30,7 @@ from .codec import (
     write_fragment,
 )
 from .codec.linear import code_of, encode, solve
-from .errors import (
-    ChecksumError,
-    InconsistentFragmentsError,
-    InsufficientFragmentsError,
-    MalformedFragmentError,
-    RareEventError,
-    SolverBoundError,
-    UnrecoverableError,
-)
+from .errors import ChecksumError, CodecError, DurakitError, MalformedFragmentError
 from .latency import LatencyProfile, approx_latency_ec
 from .placement import (
     Topology,
@@ -64,6 +56,16 @@ EXIT_FRAGMENT_SET = 4
 EXIT_CHECKSUM = 5
 EXIT_MALFORMED = 6
 
+#: The most specific class in an error's MRO picks its exit code: solver
+#: bounds and rare-event guards are plain DurakitErrors, and the other codec
+#: errors (insufficient, inconsistent, unrecoverable) mean an unusable set.
+_EXIT_CODES = {
+    MalformedFragmentError: EXIT_MALFORMED,
+    ChecksumError: EXIT_CHECKSUM,
+    CodecError: EXIT_FRAGMENT_SET,
+    DurakitError: EXIT_SOLVER,
+}
+
 Z_CHECK_LIMIT = 4.0
 
 
@@ -83,22 +85,9 @@ def _translate_errors(fn):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 return fn(*args, **kwargs)
-        except (SolverBoundError, RareEventError) as exc:
+        except DurakitError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_SOLVER)
-        except (
-            InsufficientFragmentsError,
-            InconsistentFragmentsError,
-            UnrecoverableError,
-        ) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_FRAGMENT_SET)
-        except ChecksumError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CHECKSUM)
-        except MalformedFragmentError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_MALFORMED)
+            sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         finally:
@@ -172,16 +161,16 @@ def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None
         return
 
     rows = payload.get("rows") if isinstance(payload.get("rows"), list) else None
+    columns = list(rows[0]) if rows else []
+    scalars = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         if rows is not None:
-            columns = list(rows[0]) if rows else []
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_csv_cell(row.get(c)) for c in columns])
         else:
-            scalars = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
             writer.writerow(scalars.keys())
             writer.writerow([_csv_cell(v) for v in scalars.values()])
         click.echo(buffer.getvalue(), nl=False)
@@ -189,17 +178,14 @@ def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None
 
     precision = settings.precision
     if rows is not None:
-        columns = list(rows[0]) if rows else []
         rendered = [[_table_cell(row.get(c), precision) for c in columns] for row in rows]
-        widths = [
-            max(len(col), *(len(r[i]) for r in rendered)) if rendered else len(col)
-            for i, col in enumerate(columns)
-        ]
+        # columns come from the first row, so there is a row to measure
+        widths = [max(len(col), *(len(r[i]) for r in rendered))
+                  for i, col in enumerate(columns)]
         click.echo("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
         for r in rendered:
             click.echo("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
     else:
-        scalars = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
         width = max((len(k) for k in scalars), default=0)
         for key, value in scalars.items():
             click.echo(f"{key.ljust(width)}  {_table_cell(value, precision)}")
@@ -279,14 +265,14 @@ def _comparison_row(
     p_unavail: float | None,
     profile: LatencyProfile | None,
 ) -> dict:
-    # replication lowers to the RS 1+(k-1) code, so one formula serves both
-    code = code_of(scheme)
-    if not code.mds:
+    # replication is the RS 1+(k-1) code with k = 1, so one formula serves both
+    if not scheme.mds:
         raise click.UsageError(
             f"only replication and m+n schemes can be compared, got {scheme.label}"
         )
+    k = scheme.data_fragments
     p_u = p_unavail if p_unavail is not None else p
-    loss = prob_loss_ec(p, code.k, code.count - code.k)
+    loss = prob_loss_ec(p, k, scheme.fragment_count - k)
 
     unavailability = None
     repair_remote = None
@@ -301,7 +287,7 @@ def _comparison_row(
         if profile.site_count < 2:
             raise click.UsageError("latency profiles need at least two sites")
         l1, l2 = profile.latencies[0], profile.latencies[1]
-        latency = approx_latency_ec(l1, l2, p_u, code.k)
+        latency = approx_latency_ec(l1, l2, p_u, k)
 
     row = {
         "scheme": scheme.label,
@@ -499,9 +485,8 @@ def codec_decode(settings: Settings, fragment_files, out_file: Path):
 def codec_report(settings: Settings, scheme_text, max_t):
     """Recoverable fraction of every failure pattern size up to max-t."""
     scheme = parse_scheme(scheme_text)
-    code = code_of(scheme)
     if max_t is None:
-        max_t = min(4, code.count)
+        max_t = min(4, scheme.fragment_count)
     report = recoverability_report(scheme, max_t)
     rows = [
         {

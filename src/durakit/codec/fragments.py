@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
-from ..probability import ErasureScheme
+from ..probability import LRC_6_2_2, ErasureScheme, LrcScheme
 
 MAGIC = b"ECFR"
 FORMAT_VERSION = 1
@@ -113,10 +113,7 @@ class Fragment:
             object.__setattr__(self, "_verified", True)
 
 
-@lru_cache(maxsize=256)  # the deferred import alone outweighs the rest of framing
 def _scheme_wire_params(scheme) -> tuple[int, int, int]:
-    from .lrc import LrcScheme  # deferred: lrc builds on Fragment
-
     if isinstance(scheme, ErasureScheme):
         if scheme.fragment_count > MAX_TOTAL_FRAGMENTS:
             raise ValueError(
@@ -152,8 +149,6 @@ def _scheme_from_wire(tag: int, p1: int, p2: int):
             raise MalformedFragmentError(f"invalid RS parameters m={p1}, n={p2}")
         return ErasureScheme(p1, p2)
     if tag == SCHEME_TAG_LRC:
-        from .lrc import LRC_6_2_2  # deferred: lrc builds on Fragment
-
         if p1 != LRC_6_2_2.data_fragments or p2 != LRC_GROUP_DESCRIPTOR:
             raise MalformedFragmentError(
                 f"invalid LRC descriptor ({p1}, {p2:#04x})"
@@ -182,27 +177,16 @@ def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:
             f"payload length field says {payload_len} but "
             f"{len(data) - _HEADER.size - _TRAILER.size} bytes are present"
         )
-    if payload_len < 1:
-        raise MalformedFragmentError("fragment payload must not be empty")
-    if original_length < 1:
-        raise MalformedFragmentError("original_length must be >= 1")
 
     scheme = _scheme_from_wire(tag, p1, p2)
-    if index >= scheme.fragment_count:
-        raise MalformedFragmentError(
-            f"index {index} outside scheme with {scheme.fragment_count} fragments"
-        )
-
     payload = data[_HEADER.size : _HEADER.size + payload_len]
     (stored_crc,) = _TRAILER.unpack_from(data, _HEADER.size + payload_len)
-    fragment = Fragment(
-        object_id=object_id,
-        scheme=scheme,
-        index=index,
-        payload=payload,
-        original_length=original_length,
-        checksum=stored_crc,
-    )
+    try:  # an empty payload, a zero length or an index past the scheme
+        fragment = Fragment(
+            object_id, scheme, index, payload, original_length, stored_crc
+        )
+    except ValueError as exc:
+        raise MalformedFragmentError(str(exc)) from exc
     if verify:
         fragment.verify_checksum()
     return fragment

@@ -2,9 +2,10 @@
 
 Replication, Reed-Solomon and the 6+2+2 LRC differ only in their generator
 rows and in two declared facts: whether any k fragments determine the data
-(MDS), and which fragments rebuild a given one on their own (local repair
-sets).  ``code_of`` lowers a scheme to that description; encode, solve, the
-rank test and the repair search then work from it alone.
+(MDS, which the scheme itself states), and which fragments rebuild a given
+one on their own (local repair sets).  ``code_of`` lowers a scheme to that
+description; encode, solve, the rank test and the repair search then work
+from it alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..errors import (
     InsufficientFragmentsError,
     UnrecoverableError,
 )
-from ..probability import ErasureScheme, ReplicationScheme
+from ..probability import ErasureScheme, LrcScheme, ReplicationScheme
 from . import gf256
 from .fragments import Fragment
 
@@ -30,20 +31,27 @@ from .fragments import Fragment
 class LinearCode:
     """A systematic code: fragment i holds rows[i] applied to the k data shards.
 
-    Rows 0..k-1 are the identity.  ``scheme`` is what the fragments carry;
+    Rows 0..k-1 are the identity.  ``scheme`` is what the fragments carry,
+    and it states k, the fragment count and whether the code is MDS;
     ``local_sets[i]``, when the code declares them, lists the fragments that
     rebuild fragment i without a general solve.
     """
 
     scheme: object
-    k: int
-    mds: bool
     local_sets: tuple[tuple[int, ...], ...]
     build_rows: Callable[[], list[list[int]]] = field(repr=False)
 
     @property
+    def k(self) -> int:
+        return self.scheme.data_fragments
+
+    @property
     def count(self) -> int:
         return self.scheme.fragment_count
+
+    @property
+    def mds(self) -> bool:
+        return self.scheme.mds
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -54,10 +62,12 @@ class LinearCode:
 
 @lru_cache(maxsize=256)
 def code_of(scheme) -> LinearCode:
-    """Lower a scheme to its linear code; the only place scheme types are told apart.
+    """Lower a scheme to its generator rows and local repair sets.
 
     Replication with k copies is Reed-Solomon 1+(k-1), whose parity rows are
-    all ones, so its fragments are literal replicas.
+    all ones, so its fragments are literal replicas.  Scheme kinds are told
+    apart here, in the CLI's scheme grammar, in the fragment wire tag and in
+    the CLI's m/n sweep; everything else reads the scheme's own shape.
     """
     from . import lrc, rs  # deferred: both build on this module
 
@@ -65,13 +75,12 @@ def code_of(scheme) -> LinearCode:
         return code_of(ErasureScheme(1, scheme.k - 1))
     if isinstance(scheme, ErasureScheme):
         return LinearCode(
-            scheme, k=scheme.data_fragments, mds=True, local_sets=(),
+            scheme, local_sets=(),
             build_rows=lambda: rs.generator_matrix(scheme.m, scheme.n),
         )
-    if isinstance(scheme, lrc.LrcScheme):
+    if isinstance(scheme, LrcScheme):
         return LinearCode(
-            scheme, k=scheme.data_fragments, mds=False,
-            local_sets=lrc.LOCAL_REPAIR_SETS, build_rows=lrc.generator_rows,
+            scheme, local_sets=lrc.LOCAL_REPAIR_SETS, build_rows=lrc.generator_rows,
         )
     raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 

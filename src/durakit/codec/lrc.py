@@ -16,13 +16,14 @@ structure: the remaining 30 patterns are information-theoretically lost.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+# the descriptor lives with the other schemes; re-exported for callers here
+from ..probability import LRC_6_2_2, LrcScheme
 from . import gf256, linear
 from .fragments import Fragment
 
-DATA_COUNT = 6
-TOTAL_FRAGMENTS = 10
+DATA_COUNT = LRC_6_2_2.data_fragments
+TOTAL_FRAGMENTS = LRC_6_2_2.fragment_count
 LOCAL_GROUPS = ((0, 1, 2), (3, 4, 5))
 GLOBAL_PARITY_INDICES = (8, 9)
 
@@ -33,26 +34,6 @@ GLOBAL_COEFFS = (
 
 #: Group -> DC, globals -> a third DC (fragments 0..9 in index order).
 DEFAULT_DC_ASSIGNMENT = (0, 0, 0, 1, 1, 1, 0, 1, 2, 2)
-
-
-@dataclass(frozen=True)
-class LrcScheme:
-    """Descriptor for the fixed 6+2+2 layout."""
-
-    @property
-    def fragment_count(self) -> int:
-        return TOTAL_FRAGMENTS
-
-    @property
-    def data_fragments(self) -> int:
-        return DATA_COUNT
-
-    @property
-    def label(self) -> str:
-        return "lrc:6+2+2"
-
-
-LRC_6_2_2 = LrcScheme()
 
 
 def generator_rows() -> list[list[int]]:

@@ -9,9 +9,14 @@ from dataclasses import dataclass
 from .probability import ErasureScheme, binomial_tail
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must be in [0, 1), got {p!r}")
+
+
 @dataclass(frozen=True)
 class LatencyProfile:
-    """Per-site read latencies, nearest first (non-decreasing, positive)."""
+    """Per-site read latencies, nearest first (non-decreasing, positive, finite)."""
 
     latencies: tuple[float, ...]
 
@@ -22,8 +27,8 @@ class LatencyProfile:
         if not self.latencies:
             raise ValueError("latency profile must not be empty")
         for v in self.latencies:
-            if not v > 0.0:
-                raise ValueError(f"latencies must be positive, got {v!r}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"latencies must be positive and finite, got {v!r}")
         for a, b in zip(self.latencies, self.latencies[1:]):
             if b < a:
                 raise ValueError("latencies must be non-decreasing (nearest first)")
@@ -44,8 +49,7 @@ def expected_latency_replication(
     zero latency; pass conditional=True to renormalize to the expected
     latency given that some replica answered.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p!r}")
+    _check_p(p)
     terms = [
         p**i * (1.0 - p) * latency
         for i, latency in enumerate(profile.latencies)
@@ -58,8 +62,7 @@ def expected_latency_replication(
 
 def approx_latency_replication(l1: float, l2: float, p: float) -> float:
     """Two-term replication latency (1-p)*L1 + p*L2, dropping p**2 terms."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p!r}")
+    _check_p(p)
     return (1.0 - p) * l1 + p * l2
 
 
@@ -71,8 +74,7 @@ def approx_latency_ec(l1: float, l2: float, p: float, m: int) -> float:
     for the at-least-m-fragments-local layout; multi-failure terms are
     dropped the same way the replication approximation drops p**2.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p!r}")
+    _check_p(p)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m * p >= 1.0:
@@ -94,8 +96,7 @@ def ec_read_latency_expectation(
     in parallel for L2, and with more than n failures the request cannot be
     served (contributing zero, reported separately by the simulator).
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p!r}")
+    _check_p(p)
     if profile.site_count < 2:
         raise ValueError("EC latency needs a two-site profile (local, remote)")
     l1, l2 = profile.latencies[0], profile.latencies[1]

@@ -14,8 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .codec.linear import code_of
-from .probability import DiskFailureModel, _check_prob, binomial_tail
+from .probability import DiskFailureModel, ErasureScheme, _check_prob, binomial_tail
 
 
 @dataclass(frozen=True, init=False)
@@ -128,12 +127,10 @@ def ec_unavailability(
     binomial.  Co-locating fragments can only raise this number relative to
     the uncorrelated m+n tail.
     """
-    scheme = placement.scheme
-    # replication lowers to the RS 1+(k-1) code rather than to itself
-    if code_of(scheme).scheme != scheme:
+    if not isinstance(placement.scheme, ErasureScheme):
         raise TypeError(
             f"ec_unavailability needs an ErasureScheme placement, got "
-            f"{type(scheme).__name__}"
+            f"{type(placement.scheme).__name__}"
         )
     return placement_unavailability(model, topology, placement)
 
@@ -150,11 +147,9 @@ def placement_unavailability(
     replication placement this agrees with replication_unavailability;
     unlike that operation it also covers co-located replicas exactly.
     """
-    code = code_of(placement.scheme)
-    if not code.mds:
-        raise TypeError(
-            f"unavailability needs an MDS code, got {placement.scheme.label}"
-        )
+    scheme = placement.scheme
+    if not getattr(scheme, "mds", False):
+        raise TypeError(f"unavailability needs an MDS code, got {scheme!r}")
     d = topology.dc_count
     if placement.max_dc() >= d:
         raise ValueError(
@@ -173,7 +168,7 @@ def placement_unavailability(
         pad = [0.0] * count
         up = [q * out + (1.0 - q) * held for out, held in zip(up + pad, pad + up)]
 
-    need = code.k
+    need = scheme.data_fragments
     p_u = model.p_unavail
     # fewer than need reachable <=> more than u - need of the u up fragments unavailable
     total = math.fsum(up[:need]) + math.fsum(

@@ -1,8 +1,9 @@
 """Loss probabilities and sizing solvers for replicated and erasure coded storage.
 
-All functions here are pure and operate on plain floats/ints; the scheme
-dataclasses describe redundancy layouts and are shared with the placement,
-simulation, and CLI layers.
+All functions here are pure and operate on plain floats/ints.  The scheme
+dataclasses describe redundancy layouts and are shared with every other
+layer: each states its fragment count, its data fragment count k, its label,
+and whether any k of its fragments determine the data (``mds``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class DiskFailureModel:
 class ReplicationScheme:
     """Whole-object copies, one per disk."""
 
+    mds = True
     k: int
 
     def __post_init__(self):
@@ -79,6 +81,7 @@ class ReplicationScheme:
 class ErasureScheme:
     """m data fragments plus n parity fragments; any m of them reconstruct."""
 
+    mds = True
     m: int
     n: int
 
@@ -99,6 +102,24 @@ class ErasureScheme:
     @property
     def label(self) -> str:
         return f"ec:{self.m}+{self.n}"
+
+
+@dataclass(frozen=True)
+class LrcScheme:
+    """The fixed 6+2+2 local reconstruction code.
+
+    Six data fragments in two local groups of three, one local parity per
+    group and two global parities; some four-fragment losses are fatal, so
+    it is not MDS.  ``durakit.codec.lrc`` holds its generator rows.
+    """
+
+    mds = False
+    fragment_count = 10
+    data_fragments = 6
+    label = "lrc:6+2+2"
+
+
+LRC_6_2_2 = LrcScheme()
 
 
 def binomial_tail(p: float, total: int, threshold: int) -> float:
@@ -159,10 +180,7 @@ def prob_loss_replication(p_dead: float, copies: int) -> float:
 
 def prob_loss_ec(p: float, m: int, n: int) -> float:
     """Probability of data loss for an m+n code: more than n of m+n disks dead."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    ErasureScheme(m, n)  # the scheme owns the m >= 1, n >= 0 rule
     return binomial_tail(p, m + n, n)
 
 
@@ -182,6 +200,22 @@ def replicas_needed(epsilon: float, p: float) -> int:
     return k
 
 
+def _parity_search(epsilon, p, m, cap, loss, target: str) -> int:
+    """Smallest n in 1..cap with loss(n) < epsilon, else SolverBoundError."""
+    _check_prob("epsilon", epsilon, exclusive=True)
+    _check_prob("p", p, exclusive=True)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    for n in range(1, cap + 1):
+        if loss(n) < epsilon:
+            return n
+    raise SolverBoundError(
+        f"no parity count n <= {cap} {target} {epsilon!r} for m={m}, p={p!r}"
+    )
+
+
 def parity_needed(
     epsilon: float, p: float, m: int, cap: int = DEFAULT_PARITY_CAP
 ) -> int:
@@ -190,18 +224,9 @@ def parity_needed(
     The search starts at n=1; n=0 is expressible in prob_loss_ec but never
     returned here.  Raises SolverBoundError once n exceeds ``cap``.
     """
-    _check_prob("epsilon", epsilon, exclusive=True)
-    _check_prob("p", p, exclusive=True)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    for n in range(1, cap + 1):
-        if prob_loss_ec(p, m, n) < epsilon:
-            return n
-    raise SolverBoundError(
-        f"no parity count n <= {cap} achieves loss probability below "
-        f"{epsilon!r} for m={m}, p={p!r}"
+    return _parity_search(
+        epsilon, p, m, cap, lambda n: prob_loss_ec(p, m, n),
+        "achieves loss probability below",
     )
 
 
@@ -234,10 +259,7 @@ def gaussian_tail_loss(p: float, m: int, n: int, scale: int = 1) -> float:
     the approximation can miss at small m+n.  Requires p <= n/(m+n); the
     convergence-to-zero guarantee additionally needs strict inequality.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    ErasureScheme(m, n)  # the scheme owns the m >= 1, n >= 0 rule
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     _check_prob("p", p)
@@ -264,16 +286,10 @@ def gaussian_parity_estimate(
     At the small fragment counts real systems use, this under-estimates the
     parity requirement of the exact solver.
     """
-    _check_prob("epsilon", epsilon, exclusive=True)
-    _check_prob("p", p, exclusive=True)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    for n in range(1, cap + 1):
-        if p > n / (m + n):
-            continue  # approximation not defined; tail would not be below 0.5 anyway
-        if gaussian_tail_loss(p, m, n) < epsilon:
-            return n
-    raise SolverBoundError(
-        f"no parity count n <= {cap} satisfies the normal-approximation "
-        f"target {epsilon!r} for m={m}, p={p!r}"
+    # for p above n/(m+n) the approximation is undefined, and its tail would
+    # not be below 0.5 anyway; 1.0 never meets an epsilon below 1
+    return _parity_search(
+        epsilon, p, m, cap,
+        lambda n: gaussian_tail_loss(p, m, n) if p <= n / (m + n) else 1.0,
+        "satisfies the normal-approximation target",
     )

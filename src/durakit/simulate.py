@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec.linear import code_of
 from .errors import RareEventError
 from .latency import LatencyProfile, ec_read_latency_expectation, expected_latency_replication
 from .parallel import map_chunks, worker_count
@@ -78,9 +77,11 @@ def _sample(trials: int, seed: int, threads: int, draw) -> list:
     return [part for parts in map_chunks(run, range(workers), workers) for part in parts]
 
 
-def _result(trials, estimate, se, analytic, **counts) -> SimulationResult:
+def _result(trials, estimate, se, analytic, z_se=None, **counts) -> SimulationResult:
+    """``z_se``, when given, stands in for ``se`` as the z-score's denominator."""
     diff = estimate - analytic
-    z = diff / se if se else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
+    z_se = se if z_se is None else z_se
+    z = diff / z_se if z_se else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
     return SimulationResult(trials=trials, point_estimate=estimate, standard_error=se,
                             analytic=analytic, z_score=z, **counts)
 
@@ -102,7 +103,10 @@ def _event_rate(analytic, trials, seed, threads, draw) -> SimulationResult:
                          lambda rng, size: int(draw(rng, size).sum())))
     estimate = events / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return _result(trials, estimate, se, analytic, events=events)
+    # with no events or only events the estimate's own error is zero; the
+    # one under the analytic value keeps z finite
+    z_se = se or math.sqrt(analytic * (1.0 - analytic) / trials)
+    return _result(trials, estimate, se, analytic, z_se, events=events)
 
 
 def _mean(analytic, trials, seed, threads, draw) -> SimulationResult:
@@ -154,7 +158,7 @@ def simulate_availability(
     # raises TypeError for any scheme that is not an MDS code, and ValueError
     # for a placement outside the topology
     analytic = placement_unavailability(model, topology, placement)
-    need = code_of(placement.scheme).k
+    need = placement.scheme.data_fragments
     qs = np.array(topology.outage_probs)
     assignment = np.array(placement.assignment)
 

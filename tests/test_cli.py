@@ -244,6 +244,18 @@ class TestSimulateCommand:
         assert abs(payload["z_score"]) < 4
         assert payload["events"] == round(payload["estimate"] * payload["trials"])
 
+    def test_every_trial_an_event_keeps_z_finite(self, runner):
+        # 1000/1000 losses against an analytic value just under 1: z is taken
+        # with the standard error under the analytic value, not the zero one
+        result = runner.invoke(main, ["--format", "json", "--check", "simulate",
+                                      "--scenario", "loss", "--p", "0.5", "--m", "60",
+                                      "--n", "10", "--trials", "1000"])
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["events"] == 1000
+        assert payload["standard_error"] == 0.0
+        assert abs(payload["z_score"]) < 4
+
     def test_rare_event_guard_exits_3(self, runner):
         result = runner.invoke(main, ["simulate", "--scenario", "loss", "--p", "1e-6",
                                       "--m", "8", "--n", "3", "--trials", "1000"])
@@ -497,6 +509,14 @@ class TestHostileInput:
     def test_zero_trials_is_usage_error_not_the_guard(self, runner):
         result = runner.invoke(main, [*self.LOSS, "--trials", "0"])
         assert result.exit_code == 2
+
+    def test_infinite_latency_is_usage_error(self, runner):
+        result = runner.invoke(main, ["--format", "json", "compare", "--p", "0.01",
+                                      "--scheme", "rep:3", "--scheme", "ec:8+3",
+                                      "--latencies", "1,inf"])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+        assert "Infinity" not in result.stdout
 
 
 class TestWarnings:

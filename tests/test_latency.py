@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from durakit.latency import (
@@ -135,6 +137,11 @@ class TestLatencyProfile:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             LatencyProfile((0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LatencyProfile((1.0, bad))
 
     def test_site_count(self):
         assert LatencyProfile((1.0, 2.0, 3.0)).site_count == 3

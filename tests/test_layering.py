@@ -1,0 +1,70 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+The analytic layer (probability, placement, latency, simulate) reads a
+scheme's own shape and never imports the codec; only the codec itself, the
+CLI and the package's public re-exports in ``durakit/__init__.py`` do.
+Within the codec, ``fragments`` imports the schemes at module level, so its
+only deferred import is the codec core that ``Fragment.role`` reads.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "durakit"
+
+
+def modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        yield path, parts
+
+
+def imported_modules(path, parts):
+    """Absolute names of every module an import in ``path`` can bind."""
+    package = parts[:-1]  # what a relative import is relative to, __init__ too
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                base = ".".join((*base, node.module) if node.module else base)
+            else:
+                base = node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_codec_cli_and_package_root_import_the_codec():
+    allowed = {("durakit", "cli"), ("durakit", "__init__")}
+    offenders = {
+        ".".join(parts): sorted(
+            name for name in imported_modules(path, parts)
+            if name == "durakit.codec" or name.startswith("durakit.codec.")
+        )
+        for path, parts in modules()
+        if parts[:2] != ("durakit", "codec") and parts not in allowed
+    }
+    assert {module: names for module, names in offenders.items() if names} == {}
+
+
+def test_fragments_defers_only_the_import_role_needs():
+    tree = ast.parse((PACKAGE / "codec" / "fragments.py").read_text(encoding="utf-8"))
+    deferred = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                deferred.append(".".join(scope))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name), True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, (*scope, child.name), in_function)
+            else:
+                visit(child, scope, in_function)
+
+    visit(tree, (), False)
+    assert deferred == ["Fragment.role"]
