@@ -409,8 +409,10 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
 
     payload.update({
         "events": result.events,
+        "expected_events": result.expected_events,
         "estimate": result.point_estimate,
         "standard_error": result.standard_error,
+        "relative_standard_error": result.relative_standard_error,
         "analytic": result.analytic,
         "z_score": result.z_score,
         "unserved_trials": result.unserved_trials,

@@ -87,3 +87,40 @@ def enumerate_failover_latency(latencies: tuple[float, ...], p: float) -> float:
         if first_up is not None:
             acc += prob * latencies[first_up]
     return acc
+
+
+def exact_binomial_pmf(p: float, total: int, counts=None) -> list[Fraction]:
+    """P[X = k] for each k in ``counts`` (default 0..total), X ~ Binomial(total, p),
+    as exact rationals."""
+    pf = Fraction(p)
+    qf = 1 - pf
+    counts = range(total + 1) if counts is None else counts
+    return [comb(total, k) * pf**k * qf ** (total - k) for k in counts]
+
+
+def exact_first_available_pmf(p: float, sites: int) -> list[Fraction]:
+    """P[the nearest available site is i], i = sites meaning none, by
+    enumerating every joint site state in exact arithmetic."""
+    pf = Fraction(p)
+    pmf = [Fraction(0)] * (sites + 1)
+    for states in product((0, 1), repeat=sites):
+        prob = Fraction(1)
+        for down in states:
+            prob *= pf if down else 1 - pf
+        pmf[next((i for i, down in enumerate(states) if not down), sites)] += prob
+    return pmf
+
+
+def exact_reachable_pmf(count: int, q: float, p_unavail: float) -> list[Fraction]:
+    """P[r of one data center's ``count`` fragments are reachable], r = 0..count,
+    by enumerating the DC's state and every fragment's in exact arithmetic."""
+    qf = Fraction(q)
+    pu = Fraction(p_unavail)
+    pmf = [Fraction(0)] * (count + 1)
+    pmf[0] += qf  # the DC is out: nothing in it is reachable
+    for states in product((0, 1), repeat=count):
+        prob = 1 - qf
+        for down in states:
+            prob *= pu if down else 1 - pu
+        pmf[count - sum(states)] += prob
+    return pmf

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -256,6 +257,34 @@ class TestSimulateCommand:
         assert payload["standard_error"] == 0.0
         assert abs(payload["z_score"]) < 4
 
+    def test_reports_expected_events_and_relative_error(self, runner):
+        payload = json.loads(invoke(runner, ["--format", "json", "--seed", "42",
+                                             *self.ARGS]).output)
+        assert payload["expected_events"] == payload["analytic"] * payload["trials"]
+        assert payload["relative_standard_error"] == (
+            payload["standard_error"] / payload["estimate"])
+
+    def test_one_valued_latency_run_passes_check(self, runner):
+        # every trial reads L1 = 1: the z-score's error comes from the model
+        result = runner.invoke(main, ["--format", "json", "--check", "simulate",
+                                      "--scenario", "latency", "--p", "1e-9",
+                                      "--latencies", "1,100", "--trials", "1000"])
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["standard_error"] == 0.0
+        assert payload["expected_events"] is None
+        assert math.isfinite(payload["z_score"])
+
+    def test_large_m_loss_runs(self, runner):
+        # per-disk draws would need CHUNK_TRIALS x 10,010 uniforms per worker
+        result = runner.invoke(main, ["--format", "json", "--check", "simulate",
+                                      "--scenario", "loss", "--p", "0.5", "--m", "10000",
+                                      "--n", "10", "--trials", "100000"])
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["events"] == 100_000
+        assert math.isfinite(payload["z_score"])
+
     def test_rare_event_guard_exits_3(self, runner):
         result = runner.invoke(main, ["simulate", "--scenario", "loss", "--p", "1e-6",
                                       "--m", "8", "--n", "3", "--trials", "1000"])
@@ -505,6 +534,12 @@ class TestHostileInput:
         result = runner.invoke(main, [*self.LOSS, "--trials", "1000000000000000"])
         assert result.exit_code == 2
         assert "MAX_TRIALS" in result.stderr
+
+    def test_oversized_count_table_is_usage_error(self, runner):
+        result = runner.invoke(main, ["simulate", "--scenario", "loss", "--p", "0.5",
+                                      "--m", "2000000", "--n", "1"])
+        assert result.exit_code == 2
+        assert "MAX_TABLE_COUNT" in result.stderr
 
     def test_zero_trials_is_usage_error_not_the_guard(self, runner):
         result = runner.invoke(main, [*self.LOSS, "--trials", "0"])

@@ -1,6 +1,8 @@
 import math
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from durakit import latency, parallel, simulate
@@ -20,6 +22,8 @@ from durakit.simulate import (
     simulate_latency,
     simulate_loss,
 )
+
+from oracles import exact_binomial_pmf, exact_first_available_pmf, exact_reachable_pmf
 
 
 class TestDeterminism:
@@ -204,6 +208,17 @@ class TestLatencyScenario:
         assert result.unserved_trials == 0
         assert result.z_score == 0.0
 
+    @pytest.mark.parametrize("ec", [None, ErasureScheme(8, 3)])
+    def test_one_valued_sample_takes_z_from_the_model_variance(self, ec):
+        # every trial reads L1, so the sample variance is zero; the model's
+        # variance under p keeps z finite and small on a correct run
+        profile = LatencyProfile((1.0, 100.0))
+        result = simulate_latency(profile, 1e-9, 1_000, seed=0, ec=ec)
+        assert result.point_estimate == 1.0
+        assert result.standard_error == 0.0
+        assert result.analytic > 1.0
+        assert abs(result.z_score) < 0.1
+
     def test_replication_calibrated(self):
         profile = LatencyProfile((1.0, 100.0))
         result = simulate_latency(profile, 0.001, 1_000_000, seed=23)
@@ -315,5 +330,156 @@ class TestEngine:
             simulate_loss(1e-4, 1, 2, 1_000_000, seed=0)
         assert "increase trials" not in str(info.value)
 
+    def test_large_m_chunk_allocates_linear_memory(self):
+        # one chunk of per-disk draws would hold CHUNK_TRIALS x (m+n) uniforms,
+        # about 5.2 GB here; count draws need a uniform and a count per trial
+        # plus a table of m+n+1 entries
+        m, n = 10_000, 10
+        tracemalloc.start()
+        try:
+            result = simulate_loss(0.5, m, n, simulate.CHUNK_TRIALS, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.events == simulate.CHUNK_TRIALS
+        assert peak < 64 * (simulate.CHUNK_TRIALS + m + n)
+
+    def test_oversized_table_is_refused_before_the_analytic_value(self, monkeypatch):
+        def no_analytic(*args, **kwargs):
+            raise AssertionError("computed the analytic value of a refused run")
+
+        monkeypatch.setattr(simulate, "prob_loss_ec", no_analytic)
+        with pytest.raises(ValueError, match="MAX_TABLE_COUNT"):
+            simulate_loss(0.5, simulate.MAX_TABLE_COUNT, 1, 100, seed=0)
+
+    def test_result_explains_its_numbers(self):
+        loss = simulate_loss(0.3, 2, 2, 50_000, seed=9)
+        assert loss.expected_events == loss.analytic * loss.trials
+        assert loss.relative_standard_error == loss.standard_error / loss.point_estimate
+        latency_mean = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 10_000, seed=0)
+        assert latency_mean.expected_events is None
+        assert simulate_loss(0.0, 2, 1, 100, seed=0).relative_standard_error is None
+
     def test_ec_expectation_lives_with_the_latency_formulas(self):
         assert simulate.ec_read_latency_expectation is latency.ec_read_latency_expectation
+
+
+def drawn_histogram(pmf, seed, chunks=4):
+    """Counts drawn from ``pmf`` over a few chunks of the engine's streams."""
+    draw = simulate._count_sampler(pmf)
+    return sum(simulate._sample(chunks * simulate.CHUNK_TRIALS, seed, 1,
+                                lambda rng, size: np.bincount(draw(rng, size),
+                                                              minlength=len(pmf))))
+
+
+def assert_histogram_matches(histogram, exact):
+    """Per-bin z against the exact pmf; counts of probability zero never drawn."""
+    trials = int(histogram.sum())
+    for count, (seen, prob) in enumerate(zip(histogram, exact)):
+        prob = float(prob)
+        if prob == 0.0:
+            assert seen == 0, (count, seen)
+        elif prob == 1.0:
+            assert seen == trials, (count, seen)
+        else:
+            z = (seen - trials * prob) / math.sqrt(trials * prob * (1.0 - prob))
+            assert abs(z) < 5, (count, seen, trials * prob)
+
+
+TABLES = {
+    # the loss table: failures among m+n
+    "loss 8+3": (lambda: simulate._binomial_pmf(11, 0.05),
+                 lambda: exact_binomial_pmf(0.05, 11)),
+    "loss 4+2": (lambda: simulate._binomial_pmf(6, 0.3),
+                 lambda: exact_binomial_pmf(0.3, 6)),
+    # the EC latency table: failures among the m local fragments
+    "latency ec m=8": (lambda: simulate._binomial_pmf(8, 0.01),
+                       lambda: exact_binomial_pmf(0.01, 8)),
+    # the replication latency table: the nearest available site
+    "latency rep 3 sites": (lambda: simulate._first_available_pmf(3, 0.05),
+                            lambda: exact_first_available_pmf(0.05, 3)),
+    "latency rep 5 sites": (lambda: simulate._first_available_pmf(5, 0.4),
+                            lambda: exact_first_available_pmf(0.4, 5)),
+    # the availability table: reachable fragments of one data center
+    "availability 4 in a DC": (lambda: simulate._reachable_pmf(4, 0.01, 0.02),
+                               lambda: exact_reachable_pmf(4, 0.01, 0.02)),
+    "availability 3 in a DC": (lambda: simulate._reachable_pmf(3, 0.2, 0.3),
+                               lambda: exact_reachable_pmf(3, 0.2, 0.3)),
+}
+
+DEGENERATE_TABLES = {
+    "binomial p=0": (lambda: simulate._binomial_pmf(6, 0.0),
+                     lambda: exact_binomial_pmf(0.0, 6)),
+    "binomial p=1": (lambda: simulate._binomial_pmf(6, 1.0),
+                     lambda: exact_binomial_pmf(1.0, 6)),
+    "first available p=0": (lambda: simulate._first_available_pmf(3, 0.0),
+                            lambda: exact_first_available_pmf(0.0, 3)),
+    "first available p=1": (lambda: simulate._first_available_pmf(3, 1.0),
+                            lambda: exact_first_available_pmf(1.0, 3)),
+    "reachable q=0": (lambda: simulate._reachable_pmf(4, 0.0, 0.1),
+                      lambda: exact_reachable_pmf(4, 0.0, 0.1)),
+    "reachable q=1": (lambda: simulate._reachable_pmf(4, 1.0, 0.1),
+                      lambda: exact_reachable_pmf(4, 1.0, 0.1)),
+    "reachable p_u=0": (lambda: simulate._reachable_pmf(4, 0.3, 0.0),
+                        lambda: exact_reachable_pmf(4, 0.3, 0.0)),
+    "reachable p_u=1": (lambda: simulate._reachable_pmf(4, 0.3, 1.0),
+                        lambda: exact_reachable_pmf(4, 0.3, 1.0)),
+    "reachable q=0 p_u=0": (lambda: simulate._reachable_pmf(4, 0.0, 0.0),
+                            lambda: exact_reachable_pmf(4, 0.0, 0.0)),
+}
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_matches_exact_pmf(self, name):
+        table, exact = TABLES[name]
+        np.testing.assert_allclose(table(), [float(v) for v in exact()], rtol=1e-13)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_drawn_counts_follow_exact_pmf(self, name):
+        table, exact = TABLES[name]
+        assert_histogram_matches(drawn_histogram(table(), seed=5), exact())
+
+    @pytest.mark.parametrize("name", DEGENERATE_TABLES)
+    def test_degenerate_table_is_exact_and_never_draws_impossible_counts(self, name):
+        table, exact = DEGENERATE_TABLES[name]
+        pmf = table()
+        exact_floats = [float(v) for v in exact()]
+        np.testing.assert_allclose(pmf, exact_floats, rtol=1e-13)
+        assert [v == 0.0 for v in pmf] == [v == 0.0 for v in exact_floats]
+        assert_histogram_matches(drawn_histogram(pmf, seed=6, chunks=2), exact())
+
+    def test_large_total_neither_overflows_nor_drifts(self):
+        # C(10010, k) * p**k * q**(10010-k) overflows a float when formed directly
+        total = 10_010
+        pmf = simulate._binomial_pmf(total, 0.5)
+        assert np.all(np.isfinite(pmf))
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
+        counts = (4_600, 5_005, 5_500)
+        for k, exact in zip(counts, exact_binomial_pmf(0.5, total, counts)):
+            assert pmf[k] == pytest.approx(float(exact), rel=1e-9)
+
+
+class TestSeededStreams:
+    """One seeded run per scenario, pinned: the streams use only Philox's
+    ``random()``, so these hold on every supported numpy."""
+
+    def test_loss(self):
+        assert simulate_loss(0.2, 4, 2, 200_000, seed=2026).events == 19_991
+
+    def test_availability(self):
+        topo = Topology(3, (0.01, 0.05, 0.1))
+        result = simulate_availability(
+            DiskFailureModel(p_dead=0.0, p_unavail=0.05), topo,
+            balanced_placement(ErasureScheme(4, 2), topo), 200_000, seed=2026)
+        assert result.events == 6_894
+
+    def test_latency_replication(self):
+        result = simulate_latency(LatencyProfile((1.0, 20.0, 100.0)), 0.05, 200_000,
+                                  seed=2026)
+        assert result.unserved_trials == 18
+
+    def test_latency_ec(self):
+        result = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 200_000, seed=2026,
+                                  ec=ErasureScheme(8, 3))
+        assert result.unserved_trials == 74
