@@ -56,6 +56,7 @@ from .probability import (
     binomial_tail,
     gaussian_parity_estimate,
     gaussian_tail_loss,
+    meets_target,
     parity_needed,
     prob_any_failure,
     prob_loss_ec,

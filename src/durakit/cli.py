@@ -17,7 +17,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -42,10 +42,10 @@ from .probability import (
     DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
+    meets_target,
     parity_needed,
     prob_any_failure,
     prob_loss_ec,
-    prob_loss_replication,
     redundancy_factor,
     replicas_needed,
 )
@@ -78,6 +78,12 @@ class Settings:
     check: bool
 
 
+def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
+    # An explicit file keeps click from caching a wrapper for every stream
+    # it meets, which in-process runners swap on each invocation.
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _translate_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -86,14 +92,14 @@ def _translate_errors(fn):
                 warnings.simplefilter("always")
                 return fn(*args, **kwargs)
         except DurakitError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         finally:
             # one plain line per distinct library warning, not Python's source echo
             for message in dict.fromkeys(str(w.message) for w in caught):
-                click.echo(f"warning: {message}", err=True)
+                _echo(f"warning: {message}", err=True)
 
     return wrapper
 
@@ -157,7 +163,7 @@ def _csv_cell(value) -> str:
 def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None:
     fmt = settings.fmt or default_fmt
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
         return
 
     rows = payload.get("rows") if isinstance(payload.get("rows"), list) else None
@@ -173,7 +179,7 @@ def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None
         else:
             writer.writerow(scalars.keys())
             writer.writerow([_csv_cell(v) for v in scalars.values()])
-        click.echo(buffer.getvalue(), nl=False)
+        _echo(buffer.getvalue(), nl=False)
         return
 
     precision = settings.precision
@@ -182,16 +188,16 @@ def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None
         # columns come from the first row, so there is a row to measure
         widths = [max(len(col), *(len(r[i]) for r in rendered))
                   for i, col in enumerate(columns)]
-        click.echo("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
+        _echo("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
         for r in rendered:
-            click.echo("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
+            _echo("  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
     else:
         width = max((len(k) for k in scalars), default=0)
         for key, value in scalars.items():
-            click.echo(f"{key.ljust(width)}  {_table_cell(value, precision)}")
+            _echo(f"{key.ljust(width)}  {_table_cell(value, precision)}")
     note = payload.get("note")
     if note:
-        click.echo(note)
+        _echo(note)
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +240,19 @@ def plan(settings: Settings, mode, epsilon, p, m, max_n):
     if mode == "ec":
         if m is None:
             raise click.UsageError("--m is required for ec mode")
-        n = parity_needed(epsilon, p, m, cap=max_n)
-        payload = {
-            "mode": "ec",
-            "epsilon": epsilon,
-            "p": p,
-            "m": m,
-            "n": n,
-            "loss": prob_loss_ec(p, m, n),
-            "redundancy_factor": redundancy_factor(ErasureScheme(m, n)),
-        }
+        scheme = ErasureScheme(m, parity_needed(epsilon, p, m, cap=max_n))
     else:
-        k = replicas_needed(epsilon, p)
-        payload = {
-            "mode": "replication",
-            "epsilon": epsilon,
-            "p": p,
-            "k": k,
-            "loss": prob_loss_replication(p, k),
-            "redundancy_factor": redundancy_factor(ReplicationScheme(k)),
-        }
-    _emit(settings, payload)
+        scheme = ReplicationScheme(replicas_needed(epsilon, p))
+    _emit(settings, {  # the scheme's fields name its shape: m and n, or k
+        "mode": mode, "epsilon": epsilon, "p": p, **asdict(scheme),
+        "loss": _loss(scheme, p), "redundancy_factor": redundancy_factor(scheme),
+    })
+
+
+def _loss(scheme, p: float) -> float:
+    # replication is the RS 1+(k-1) code with k = 1, so one formula serves both
+    k = scheme.data_fragments
+    return prob_loss_ec(p, k, scheme.fragment_count - k)
 
 
 def _comparison_row(
@@ -265,14 +263,12 @@ def _comparison_row(
     p_unavail: float | None,
     profile: LatencyProfile | None,
 ) -> dict:
-    # replication is the RS 1+(k-1) code with k = 1, so one formula serves both
     if not scheme.mds:
         raise click.UsageError(
             f"only replication and m+n schemes can be compared, got {scheme.label}"
         )
-    k = scheme.data_fragments
     p_u = p_unavail if p_unavail is not None else p
-    loss = prob_loss_ec(p, k, scheme.fragment_count - k)
+    loss = _loss(scheme, p)
 
     unavailability = None
     repair_remote = None
@@ -287,7 +283,7 @@ def _comparison_row(
         if profile.site_count < 2:
             raise click.UsageError("latency profiles need at least two sites")
         l1, l2 = profile.latencies[0], profile.latencies[1]
-        latency = approx_latency_ec(l1, l2, p_u, k)
+        latency = approx_latency_ec(l1, l2, p_u, scheme.data_fragments)
 
     row = {
         "scheme": scheme.label,
@@ -299,23 +295,32 @@ def _comparison_row(
         "repair_remote": repair_remote,
     }
     if epsilon is not None:
-        row["meets_target"] = loss < epsilon
+        row["meets_target"] = meets_target(loss, epsilon)
     return row
+
+
+def _comparison_options(fn):
+    """The options compare and curve share, declared once for both."""
+    for option in reversed((
+        click.option("--epsilon", type=float, default=None,
+                     help="Loss target to annotate each scheme against."),
+        click.option("--scheme", "schemes", multiple=True, required=True,
+                     help="Repeatable; e.g. --scheme rep:3 --scheme ec:8+3."),
+        click.option("--dcs", type=int, default=None, help="Data center count."),
+        click.option("--q", type=float, default=0.0, show_default=True,
+                     help="Per-DC outage probability."),
+        click.option("--p-unavail", type=float, default=None,
+                     help="Per-disk unavailability [default: same as --p]."),
+        click.option("--latencies", default=None,
+                     help="Per-site latencies nearest first, e.g. 1,100."),
+    )):
+        fn = option(fn)
+    return fn
 
 
 @main.command()
 @click.option("--p", type=float, required=True, help="Per-disk dead probability.")
-@click.option("--epsilon", type=float, default=None,
-              help="Loss target to annotate each scheme against.")
-@click.option("--scheme", "schemes", multiple=True, required=True,
-              help="Repeatable; e.g. --scheme rep:3 --scheme ec:8+3.")
-@click.option("--dcs", type=int, default=None, help="Data center count.")
-@click.option("--q", type=float, default=0.0, show_default=True,
-              help="Per-DC outage probability.")
-@click.option("--p-unavail", type=float, default=None,
-              help="Per-disk unavailability [default: same as --p].")
-@click.option("--latencies", default=None,
-              help="Per-site latencies nearest first, e.g. 1,100.")
+@_comparison_options
 @click.pass_obj
 @_translate_errors
 def compare(settings: Settings, p, epsilon, schemes, dcs, q, p_unavail, latencies):
@@ -419,7 +424,7 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
     })
     _emit(settings, payload)
     if settings.check and abs(result.z_score) > Z_CHECK_LIMIT:
-        click.echo(
+        _echo(
             f"check failed: |z| = {abs(result.z_score):.2f} exceeds {Z_CHECK_LIMIT}",
             err=True,
         )
@@ -506,14 +511,9 @@ def codec_report(settings: Settings, scheme_text, max_t):
 @click.option("--x", "axis", type=click.Choice(["p", "m", "n", "q", "scale"]),
               required=True, help="Swept parameter.")
 @click.option("--values", required=True, help="Comma separated sweep values.")
-@click.option("--scheme", "schemes", multiple=True, required=True)
 @click.option("--p", type=float, default=None,
               help="Per-disk dead probability (fixed unless swept).")
-@click.option("--epsilon", type=float, default=None)
-@click.option("--dcs", type=int, default=None)
-@click.option("--q", type=float, default=0.0, show_default=True)
-@click.option("--p-unavail", type=float, default=None)
-@click.option("--latencies", default=None)
+@_comparison_options
 @click.pass_obj
 @_translate_errors
 def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
@@ -521,7 +521,8 @@ def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
     """Sweep one parameter and emit comparison rows per point (CSV by default).
 
     Columns, in order: x, scheme, redundancy_factor, loss, unavailability,
-    recoverable_failure, expected_latency, repair_remote.
+    recoverable_failure, expected_latency, repair_remote, and meets_target
+    with --epsilon.
     """
     parsed = [parse_scheme(s) for s in schemes]
     profile = _parse_latencies(latencies) if latencies else None

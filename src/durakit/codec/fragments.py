@@ -157,7 +157,7 @@ def _scheme_from_wire(tag: int, p1: int, p2: int):
     raise MalformedFragmentError(f"unknown scheme tag {tag}")
 
 
-def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:
+def fragment_from_bytes(data: bytes) -> Fragment:
     if len(data) < _HEADER.size + _TRAILER.size:
         raise MalformedFragmentError(
             f"fragment truncated: {len(data)} bytes is below the minimum "
@@ -187,8 +187,7 @@ def fragment_from_bytes(data: bytes, *, verify: bool = True) -> Fragment:
         )
     except ValueError as exc:
         raise MalformedFragmentError(str(exc)) from exc
-    if verify:
-        fragment.verify_checksum()
+    fragment.verify_checksum()
     return fragment
 
 
@@ -198,5 +197,5 @@ def write_fragment(fragment: Fragment, path: str | Path) -> Path:
     return path
 
 
-def read_fragment(path: str | Path, *, verify: bool = True) -> Fragment:
-    return fragment_from_bytes(Path(path).read_bytes(), verify=verify)
+def read_fragment(path: str | Path) -> Fragment:
+    return fragment_from_bytes(Path(path).read_bytes())

@@ -66,8 +66,9 @@ def code_of(scheme) -> LinearCode:
 
     Replication with k copies is Reed-Solomon 1+(k-1), whose parity rows are
     all ones, so its fragments are literal replicas.  Scheme kinds are told
-    apart here, in the CLI's scheme grammar, in the fragment wire tag and in
-    the CLI's m/n sweep; everything else reads the scheme's own shape.
+    apart in five places: here, in the CLI's scheme grammar, in the fragment
+    wire tag, in the CLI's m/n sweep and in ``placement.ec_unavailability``'s
+    RS-only check; everything else reads the scheme's own shape.
     """
     from . import lrc, rs  # deferred: both build on this module
 

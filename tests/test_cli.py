@@ -1,7 +1,10 @@
 import csv
+import gc
 import io
 import json
 import math
+import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -83,6 +86,45 @@ class TestPlan:
         payload = json.loads(result.output)
         assert payload["n"] == 30
         assert payload["loss"] == prob_loss_ec(0.01, 1100, 30)
+
+    def test_million_fragments_exit_3_within_seconds(self, runner):
+        # 64 tails at about 2**20 fragments, none of which meets the target
+        start = time.perf_counter()
+        result = runner.invoke(main, ["plan", "--mode", "ec", "--epsilon", "1e-6",
+                                      "--p", "0.5", "--m", "1000000"])
+        assert result.exit_code == 3
+        assert time.perf_counter() - start < 10.0
+
+    def test_loss_equal_to_epsilon_meets_the_target_everywhere(self, runner):
+        # 0.001**2 == 1e-6 exactly: rep:2, RS 1+1, is tolerable in all three
+        args = ["--format", "json", "plan", "--epsilon", "1e-6", "--p", "0.001"]
+        rep = json.loads(invoke(runner, [*args, "--mode", "replication"]).output)
+        ec = json.loads(invoke(runner, [*args, "--mode", "ec", "--m", "1"]).output)
+        assert (rep["k"], ec["n"]) == (2, 1)
+        assert rep["loss"] == ec["loss"] == 1e-6
+        result = invoke(runner, ["--format", "json", "compare", "--p", "0.001",
+                                 "--epsilon", "1e-6",
+                                 "--scheme", "rep:2", "--scheme", "ec:1+1"])
+        rows = json.loads(result.output)["rows"]
+        assert [row["meets_target"] for row in rows] == [True, True]
+
+    def test_in_process_runs_retain_no_stream_wrappers(self, runner):
+        args = ["--format", "json", "plan", "--mode", "ec", "--epsilon", "1e-6",
+                "--p", "0.005", "--m", "8"]
+        for _ in range(50):
+            runner.invoke(main, args)
+        runs = 500
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(runs):
+                runner.invoke(main, args)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / runs < 100
 
     def test_missing_m_is_usage_error(self, runner):
         result = runner.invoke(main, ["plan", "--mode", "ec", "--epsilon", "1e-6",
@@ -507,6 +549,21 @@ class TestCurve:
         header = result.output.splitlines()[0]
         assert header == ("x,scheme,redundancy_factor,loss,unavailability,"
                           "recoverable_failure,expected_latency,repair_remote")
+
+    def test_shares_the_comparison_options_with_compare(self, runner):
+        curve_help = invoke(runner, ["curve", "--help"]).output
+        compare_help = invoke(runner, ["compare", "--help"]).output
+        for text in ("Loss target to annotate", "Repeatable; e.g. --scheme",
+                     "Data center count.", "Per-DC outage probability.",
+                     "Per-disk unavailability", "Per-site latencies"):
+            assert text in curve_help and text in compare_help
+
+    def test_meets_target_column_with_epsilon(self, runner):
+        result = invoke(runner, ["curve", "--x", "n", "--values", "1,2,3",
+                                 "--p", "0.005", "--epsilon", "1e-6",
+                                 "--scheme", "ec:8+1"])
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [r["meets_target"] for r in rows] == ["False", "False", "True"]
 
     def test_q_sweep_needs_dcs(self, runner):
         result = invoke(runner, ["curve", "--x", "q", "--values", "0.001,0.01,0.1",

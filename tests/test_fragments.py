@@ -75,13 +75,6 @@ class TestCorruptionDetection:
         with pytest.raises(ChecksumError):
             fragment_from_bytes(bytes(raw))
 
-    def test_verify_can_be_deferred(self):
-        raw = bytearray(fragment_to_bytes(rs_fragment(payload=b"hello world")))
-        raw[50] ^= 0x01
-        frag = fragment_from_bytes(bytes(raw), verify=False)
-        with pytest.raises(ChecksumError):
-            frag.verify_checksum()
-
 
 class TestChecksumOnce:
     """A bytes payload's CRC is computed once; anything else is checked each time."""

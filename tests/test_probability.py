@@ -8,12 +8,14 @@ import pytest
 from durakit.codec import LRC_6_2_2
 from durakit.errors import SolverBoundError
 from durakit.probability import (
+    DEFAULT_PARITY_CAP,
     DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
     binomial_tail,
     gaussian_parity_estimate,
     gaussian_tail_loss,
+    meets_target,
     parity_needed,
     prob_any_failure,
     prob_loss_ec,
@@ -22,11 +24,7 @@ from durakit.probability import (
     replicas_needed,
 )
 
-from oracles import (
-    enumerate_loss,
-    exact_binomial_tail,
-    exact_binomial_tail_by_complement,
-)
+from oracles import enumerate_loss, exact_binomial_tail
 
 
 class TestReplicationLoss:
@@ -116,20 +114,13 @@ class TestErasureLoss:
         (0.01, 1130, 30),
         (0.005, 11, 3),
         (0.5, 100, 50),
+        (0.5, 16000, 8400),
     ])
-    def test_log_space_forms_one_coefficient(self, monkeypatch, p, total, threshold):
-        calls = []
-        real = math.comb
-
-        def counting(n, k):
-            calls.append((n, k))
-            return real(n, k)
-
-        monkeypatch.setattr(math, "comb", counting)
+    def test_exact_oracle_saddle_point_top_term(self, p, total, threshold):
+        # the largest term is formed from Stirling errors and deviances,
+        # which do not cancel as the total grows
         value = binomial_tail(p, total, threshold)
-        assert len(calls) == 1
-        monkeypatch.setattr(math, "comb", real)
-        expected = float(exact_binomial_tail_by_complement(p, total, threshold))
+        expected = float(exact_binomial_tail(p, total, threshold))
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_exact_oracle_sampled_domain(self):
@@ -240,8 +231,31 @@ class TestParityNeeded:
             for p in (0.001, 0.01, 0.1):
                 for m in (1, 4, 8, 12):
                     n = parity_needed(epsilon, p, m)
-                    assert prob_loss_ec(p, m, n) < epsilon
-                    assert n == 1 or prob_loss_ec(p, m, n - 1) >= epsilon
+                    assert prob_loss_ec(p, m, n) <= epsilon
+                    assert n == 1 or prob_loss_ec(p, m, n - 1) > epsilon
+
+
+class TestOneTargetRule:
+    P_VALUES = [10.0**-e for e in range(1, 7)] + [0.5, 0.25, 0.2, 0.05, 0.005]
+    EPSILON_VALUES = [10.0**-e for e in range(1, 16)] + [0.125, 0.25]
+
+    def test_meets_target_admits_equality(self):
+        assert meets_target(1e-6, 1e-6)
+        assert meets_target(0.0, 1e-6)
+        assert not meets_target(math.nextafter(1e-6, 1.0), 1e-6)
+
+    def test_one_parity_code_sized_like_replication(self):
+        # RS 1+n is rep:(n+1) bit for bit, so both solvers agree on all
+        # 187 round (p, epsilon) pairs wherever replication needs 2..65 copies
+        checked = 0
+        for p in self.P_VALUES:
+            for epsilon in self.EPSILON_VALUES:
+                k = replicas_needed(epsilon, p)
+                if 2 <= k <= DEFAULT_PARITY_CAP + 1:
+                    assert parity_needed(epsilon, p, 1) == k - 1, (p, epsilon, k)
+                    checked += 1
+        assert len(self.P_VALUES) * len(self.EPSILON_VALUES) == 187
+        assert checked > 100
 
 
 class TestRedundancyFactor:
