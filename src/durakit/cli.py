@@ -3,7 +3,7 @@
 Every number printed here comes from calling a library operation with the
 same arguments; the CLI only parses, dispatches, and serializes.
 
-Exit codes: 0 success, 2 usage error, 3 solver/guard/check failure,
+Exit codes: 0 success, 2 usage or file system error, 3 solver/guard/check failure,
 4 unusable fragment set (insufficient, inconsistent, or unrecoverable),
 5 checksum mismatch, 6 malformed fragment file.
 """
@@ -49,8 +49,14 @@ from .probability import (
     redundancy_factor,
     replicas_needed,
 )
-from .simulate import simulate_availability, simulate_latency, simulate_loss
+from .simulate import (
+    MAX_TABLE_COUNT,
+    simulate_availability,
+    simulate_latency,
+    simulate_loss,
+)
 
+EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_FRAGMENT_SET = 4
 EXIT_CHECKSUM = 5
@@ -67,6 +73,10 @@ _EXIT_CODES = {
 }
 
 Z_CHECK_LIMIT = 4.0
+
+#: Fragment and data center counts: larger ones end in a usage error before
+#: any table over them is built.
+_COUNT = click.IntRange(max=MAX_TABLE_COUNT)
 
 
 @dataclass
@@ -96,6 +106,9 @@ def _translate_errors(fn):
             sys.exit(next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES))
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
+        except OSError as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
         finally:
             # one plain line per distinct library warning, not Python's source echo
             for message in dict.fromkeys(str(w.message) for w in caught):
@@ -118,16 +131,26 @@ def parse_scheme(text: str):
     if kind in ("rep", "replication"):
         if len(numbers) != 1:
             raise click.BadParameter(f"replication takes one count, got {text!r}")
-        return ReplicationScheme(numbers[0])
+        return _bounded(ReplicationScheme(numbers[0]))
     if kind in ("ec", "rs"):
         if len(numbers) != 2:
             raise click.BadParameter(f"erasure schemes look like ec:8+3, got {text!r}")
-        return ErasureScheme(numbers[0], numbers[1])
+        return _bounded(ErasureScheme(numbers[0], numbers[1]))
     if kind == "lrc":
         if numbers not in ([], [6, 2, 2]):
             raise click.BadParameter(f"only the 6+2+2 LRC is supported, got {text!r}")
         return LRC_6_2_2
     raise click.BadParameter(f"unknown scheme kind {kind!r} in {text!r}")
+
+
+def _bounded(scheme):
+    # placement, loss and simulation tables range over every fragment
+    if scheme.fragment_count > MAX_TABLE_COUNT:
+        raise click.BadParameter(
+            f"{scheme.label} has {scheme.fragment_count} fragments, more than "
+            f"MAX_TABLE_COUNT = {MAX_TABLE_COUNT}"
+        )
+    return scheme
 
 
 def _parse_latencies(text: str) -> LatencyProfile:
@@ -230,8 +253,8 @@ def main(ctx, fmt, precision, seed, threads, check):
 @click.option("--epsilon", type=float, required=True,
               help="Tolerable probability of data loss.")
 @click.option("--p", type=float, required=True, help="Per-disk dead probability.")
-@click.option("--m", type=int, default=None, help="Data fragment count (ec mode).")
-@click.option("--max-n", type=int, default=DEFAULT_PARITY_CAP, show_default=True,
+@click.option("--m", type=_COUNT, default=None, help="Data fragment count (ec mode).")
+@click.option("--max-n", type=_COUNT, default=DEFAULT_PARITY_CAP, show_default=True,
               help="Parity search bound for the ec solver.")
 @click.pass_obj
 @_translate_errors
@@ -306,7 +329,7 @@ def _comparison_options(fn):
                      help="Loss target to annotate each scheme against."),
         click.option("--scheme", "schemes", multiple=True, required=True,
                      help="Repeatable; e.g. --scheme rep:3 --scheme ec:8+3."),
-        click.option("--dcs", type=int, default=None, help="Data center count."),
+        click.option("--dcs", type=_COUNT, default=None, help="Data center count."),
         click.option("--q", type=float, default=0.0, show_default=True,
                      help="Per-DC outage probability."),
         click.option("--p-unavail", type=float, default=None,
@@ -360,7 +383,7 @@ def compare(settings: Settings, p, epsilon, schemes, dcs, q, p_unavail, latencie
 @click.option("--n", type=int, default=None)
 @click.option("--replicas", type=int, default=None,
               help="Replication placement for the availability scenario.")
-@click.option("--dcs", type=int, default=None)
+@click.option("--dcs", type=_COUNT, default=None)
 @click.option("--q", type=float, default=0.0, show_default=True)
 @click.option("--p-unavail", type=float, default=0.0, show_default=True)
 @click.option("--latencies", default=None)
@@ -384,9 +407,9 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
         if dcs is None:
             raise click.UsageError("availability scenario needs --dcs")
         if replicas is not None:
-            scheme = ReplicationScheme(replicas)
+            scheme = _bounded(ReplicationScheme(replicas))
         elif m is not None and n is not None:
-            scheme = ErasureScheme(m, n)
+            scheme = _bounded(ErasureScheme(m, n))
         else:
             raise click.UsageError(
                 "availability scenario needs --replicas or both --m and --n"
@@ -550,7 +573,8 @@ def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
                     swept = ErasureScheme(scheme.m, x)
                 elif axis == "scale":
                     swept = ErasureScheme(x * scheme.m, x * scheme.n)
-            row = _comparison_row(swept, p_eff, epsilon, topology, p_unavail, profile)
+            row = _comparison_row(_bounded(swept), p_eff, epsilon, topology,
+                                  p_unavail, profile)
             rows.append({"x": x, **row})
     _emit(settings, {"rows": rows}, default_fmt="csv")
 

@@ -4,13 +4,14 @@ Data centers fail independently of one another (each with its own outage
 probability), and disks inside a reachable DC are independently unavailable
 with the model's p_unavail.  The DC outage probability is the one knob that
 introduces correlated unavailability between co-located fragments.  The
-exact answer folds over the data centers one at a time, so it costs
-O(d * fragments) for any number d of them.
+exact answer folds over the data centers that hold fragments one at a time,
+so it costs O(fragments**2) however many data centers hold none.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -69,6 +70,10 @@ class Placement:
 
     def max_dc(self) -> int:
         return max(self.assignment)
+
+    def dc_counts(self) -> dict[int, int]:
+        """Fragment count of each data center that holds any, in dc order."""
+        return dict(sorted(Counter(self.assignment).items()))
 
 
 def balanced_placement(scheme, topology: Topology | int) -> Placement:
@@ -157,14 +162,11 @@ def placement_unavailability(
             f"of {d} data centers"
         )
 
-    per_dc = [0] * d
-    for dc in placement.assignment:
-        per_dc[dc] += 1
-
     # up[u]: probability that the DCs which are up hold u fragments; each DC
     # is either out (up stays put) or up (up shifts by its fragment count)
     up = [1.0]
-    for q, count in zip(topology.outage_probs, per_dc):
+    for dc, count in placement.dc_counts().items():
+        q = topology.outage_probs[dc]
         pad = [0.0] * count
         up = [q * out + (1.0 - q) * held for out, held in zip(up + pad, pad + up)]
 

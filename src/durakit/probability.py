@@ -18,6 +18,8 @@ DEFAULT_PARITY_CAP = 64
 
 # Terms this far below the largest one cannot move the sum.
 _NEGLIGIBLE_TERM = 1e-20
+# Below this a term is subnormal, and subnormal products can round to themselves.
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 def _check_prob(name: str, value: float, *, exclusive: bool = False) -> None:
@@ -122,58 +124,22 @@ class LrcScheme:
 LRC_6_2_2 = LrcScheme()
 
 
-# Stirling's error log(x!) - log(sqrt(2 pi x) (x/e)**x) for x = 1..15; above
-# 15 its asymptotic series is exact to double precision.
-_STIRLING_ERROR = (
-    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-
-
-def _stirling_error(x: int) -> float:
-    if x <= len(_STIRLING_ERROR):
-        return _STIRLING_ERROR[x - 1]
-    xx = x * x
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * xx)) / xx) / xx) / xx) / x
-
-
-def _deviance(x: int, mean: float) -> float:
-    """x*log(x/mean) + mean - x, summed as a series when x is near the mean."""
-    if abs(x - mean) >= 0.1 * (x + mean):
-        return x * math.log(x / mean) + mean - x
-    v = (x - mean) / (x + mean)
-    total = (x - mean) * v
-    term = 2 * x * v
-    # |v| < 0.1, so each term is at most 1% of the last
-    for odd in range(3, 1000, 2):
-        term *= v * v
-        following = total + term / odd
-        if following == total:
-            break
-        total = following
-    return total
-
-
 def binomial_tail(p: float, total: int, threshold: int) -> float:
     """P[X > threshold] for X ~ Binomial(total, p).
 
-    The tail is its largest term times a sum of term ratios.  That term, at
-    the mode or at threshold + 1, is the only one formed in log space, by
-    Loader's saddle-point expansion (as in R's ``dbinom``): Stirling errors
-    plus the deviances of both counts from their means.  None of these
-    cancel, so its error does not grow with ``total``, and a call at total
-    2**20 takes milliseconds.  The other terms follow from it by the ratio
-    of neighbouring terms, so every ratio is at most 1 and the walk away
-    from it stops once the ratios are negligible.
+    Walks outward from the mode, floor((total + 1) * p), forming each term
+    from its neighbour by their ratio, in units of the mode's term, so none
+    exceeds 1 and none is formed in log space; the tail is the sum of the
+    terms above ``threshold`` over the sum of all of them.  A walk stops
+    once a term is negligible beside the largest it is summed with; the
+    upward walk always reaches threshold + 1 unless its terms underflow.
 
-    The result stays within 1e-12 relative of the exact value wherever that
-    value is a normal float.  Measured against an exact rational oracle:
-    8e-16 at total 16,000 and 3e-16 at total 50,000 (p = 0.5); at most
-    2e-13 over 1,000 random inputs with total up to 255, the worst where
-    the tail is near 1e-292 and its log is large.
+    Within 1e-12 relative of the exact value wherever that is a normal
+    float; measured against an exact rational oracle, at most 2.1e-14 over
+    3,000 random inputs with total up to 255 and p down to 1e-12, and
+    2.2e-16 at (p, total, threshold) = (0.5, 16000, 8400).  A walk is as
+    long as the spread, or the distance from the mode to the threshold: a
+    call at total 2**20 and p = 0.5 takes 2-5 ms on a 2-vCPU Xeon VM.
     """
     _check_prob("p", p)
     if total < 1:
@@ -191,31 +157,25 @@ def binomial_tail(p: float, total: int, threshold: int) -> float:
         # n=k-1 bit-identical to p**k
         return p**total
 
-    top = min(total, max(threshold + 1, math.floor((total + 1) * p)))
-    if top == total:
-        log_top = total * math.log(p)
-    else:
-        rest = total - top
-        log_top = (
-            _stirling_error(total) - _stirling_error(top) - _stirling_error(rest)
-            - _deviance(top, total * p) - _deviance(rest, total * (1.0 - p))
-            - 0.5 * (math.log(2 * math.pi * top) + math.log1p(-top / total))
-        )
+    mode = min(total, math.floor((total + 1) * p))
     odds = p / (1.0 - p)
-    ratios = [1.0]
-    ratio = 1.0
-    for i in range(top + 1, total + 1):
-        ratio *= (total - i + 1) / i * odds
-        if ratio < _NEGLIGIBLE_TERM:
+    tail, rest = [], []  # terms above the threshold and at or below it
+    (tail if mode > threshold else rest).append(1.0)
+    term = 1.0
+    for i in range(mode + 1, total + 1):
+        term *= (total - i + 1) / i * odds
+        # past the mode the terms fall, so tail[0] is the tail's largest, and
+        # a term below the normal range before the tail leaves the tail there
+        if term <= (_NEGLIGIBLE_TERM * tail[0] if tail else _SMALLEST_NORMAL):
             break
-        ratios.append(ratio)
-    ratio = 1.0
-    for i in range(top, threshold + 1, -1):
-        ratio *= i / ((total - i + 1) * odds)
-        if ratio < _NEGLIGIBLE_TERM:
+        (tail if i > threshold else rest).append(term)
+    term = 1.0
+    for i in range(mode - 1, -1, -1):
+        term *= (i + 1) / ((total - i) * odds)
+        if term < _NEGLIGIBLE_TERM:
             break
-        ratios.append(ratio)
-    return min(1.0, math.exp(log_top + math.log(math.fsum(ratios))))
+        (tail if i > threshold else rest).append(term)
+    return math.fsum(tail) / math.fsum(tail + rest)
 
 
 def prob_loss_replication(p_dead: float, copies: int) -> float:

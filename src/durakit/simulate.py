@@ -246,9 +246,10 @@ def simulate_availability(
     # for a placement outside the topology
     analytic = placement_unavailability(model, topology, placement)
     need = placement.scheme.data_fragments
-    held = [placement.assignment.count(dc) for dc in range(topology.dc_count)]
-    draws = [_count_sampler(_reachable_pmf(count, q, model.p_unavail))
-             for q, count in zip(topology.outage_probs, held) if count]
+    draws = [
+        _count_sampler(_reachable_pmf(count, topology.outage_probs[dc], model.p_unavail))
+        for dc, count in placement.dc_counts().items()
+    ]
 
     def draw(rng, size):
         return sum(dc_draw(rng, size) for dc_draw in draws) < need

@@ -48,7 +48,9 @@ class TestSchemeGrammar:
         assert parse_scheme("lrc-6-2-2").label == "lrc:6+2+2"
         assert parse_scheme("lrc:6+2+2").label == "lrc:6+2+2"
 
-    @pytest.mark.parametrize("bad", ["rep", "ec:8", "lrc:5+2+2", "raid:5", "ec:8+3+1"])
+    @pytest.mark.parametrize(
+        "bad", ["rep", "ec:8", "lrc:5+2+2", "raid:5", "ec:8+3+1", "8+3", "ec:1048576+1"]
+    )
     def test_rejected_forms(self, bad):
         with pytest.raises(Exception):
             parse_scheme(bad)
@@ -204,6 +206,18 @@ class TestCompare:
         assert rows[0]["meets_target"] is False  # 0.005**2 = 2.5e-5
         assert rows[1]["meets_target"] is True
 
+    def test_table_renders_meets_target_as_yes_or_no(self, runner):
+        table = invoke(runner, ["compare", "--p", "0.005", "--epsilon", "1e-6",
+                                "--scheme", "rep:2", "--scheme", "ec:8+3"]).output
+        header, *rows = [line.split() for line in table.splitlines()[:3]]
+        column = header.index("meets_target")
+        assert [row[column] for row in rows] == ["no", "yes"]
+
+    def test_one_site_latency_profile_is_usage_error(self, runner):
+        result = runner.invoke(main, [*self.ARGS, "--latencies", "5"])
+        assert result.exit_code == 2
+        assert "at least two sites" in result.output
+
     def test_one_scheme_is_usage_error(self, runner):
         result = runner.invoke(main, ["compare", "--p", "0.01", "--scheme", "rep:3"])
         assert result.exit_code == 2
@@ -247,6 +261,13 @@ class TestFormats:
             assert float(parsed["redundancy_factor"]) == row["redundancy_factor"]
             assert parsed["unavailability"] == ""  # no topology given
             assert row["unavailability"] is None
+
+    def test_csv_of_a_scalar_payload_is_one_header_and_one_row(self, runner):
+        args = ["plan", "--mode", "ec", "--epsilon", "1e-6", "--p", "0.005", "--m", "8"]
+        payload = json.loads(invoke(runner, ["--format", "json", *args]).output)
+        rows = list(csv.reader(io.StringIO(invoke(runner, ["--format", "csv", *args]).output)))
+        assert rows[0] == list(payload)
+        assert rows[1] == [v if isinstance(v, str) else repr(v) for v in payload.values()]
 
     def test_table_applies_display_precision(self, runner):
         out3 = invoke(runner, self.ARGS).output
@@ -378,6 +399,20 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--scenario", "loss", "--p", "0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--scenario", "availability", "--replicas", "3"], "needs --dcs"),
+        (["--scenario", "availability", "--dcs", "3", "--m", "4"],
+         "needs --replicas or both --m and --n"),
+        (["--scenario", "latency", "--p", "0.01"], "needs --latencies and --p"),
+        (["--scenario", "latency", "--latencies", "1,100"], "needs --latencies and --p"),
+        (["--scenario", "latency", "--p", "0.01", "--latencies", "1,100", "--m", "4"],
+         "needs both --m and --n"),
+    ])
+    def test_incomplete_scenario_is_usage_error(self, runner, args, message):
+        result = runner.invoke(main, ["simulate", *args])
+        assert result.exit_code == 2
+        assert message in result.output
+
 
 class TestCodecCommands:
     def encode(self, runner, tmp_path, scheme="rs:8+3", size=100_000, seed=0):
@@ -486,6 +521,25 @@ class TestCodecCommands:
         assert by_t[4]["recoverable"] == 180
         assert by_t[4]["total_patterns"] == 210
 
+    def test_missing_output_directory_is_one_line_exit_2(self, runner, tmp_path):
+        _, files = self.encode(runner, tmp_path)
+        out = tmp_path / "nodir" / "x.bin"
+        result = invoke(runner, ["codec", "decode", *files, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: [Errno 2] No such file or directory: {str(out)!r}"
+        ]
+
+    def test_output_directory_under_a_file_is_one_line_exit_2(self, runner, tmp_path):
+        source = tmp_path / "obj.bin"
+        source.write_bytes(b"some object bytes")
+        (tmp_path / "afile").write_bytes(b"")
+        result = invoke(runner, ["codec", "encode", str(source), "--scheme", "rs:4+2",
+                                 "--out-dir", str(tmp_path / "afile" / "sub")])
+        assert result.exit_code == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: [Errno 20] Not a directory")
+
     def test_empty_input_is_usage_error(self, runner, tmp_path):
         source = tmp_path / "empty.bin"
         source.write_bytes(b"")
@@ -543,6 +597,15 @@ class TestCurve:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert rows[-1]["scheme"] == "ec:16+8"
 
+    def test_m_sweep_replaces_the_data_count_of_erasure_schemes(self, runner):
+        result = invoke(runner, ["curve", "--x", "m", "--values", "4,8", "--p", "0.01",
+                                 "--scheme", "ec:8+3", "--scheme", "rep:3"])
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [(r["x"], r["scheme"]) for r in rows] == [
+            ("4", "ec:4+3"), ("4", "rep:3"), ("8", "ec:8+3"), ("8", "rep:3")
+        ]
+        assert float(rows[0]["loss"]) == prob_loss_ec(0.01, 4, 3)
+
     def test_default_format_is_csv_with_documented_columns(self, runner):
         result = invoke(runner, ["curve", "--x", "p", "--values", "0.01",
                                  "--scheme", "rep:3", "--scheme", "ec:4+2"])
@@ -598,9 +661,40 @@ class TestHostileInput:
         assert result.exit_code == 2
         assert "MAX_TABLE_COUNT" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["compare", "--p", "0.01", "--scheme", "ec:100000000000000+3", "--scheme", "rep:3"],
+        ["curve", "--x", "scale", "--values", "1,1000000", "--p", "0.01",
+         "--scheme", "ec:8+3"],
+        ["plan", "--mode", "ec", "--epsilon", "1e-9", "--p", "0.005",
+         "--m", "100000000000000", "--max-n", "2"],
+        ["plan", "--mode", "ec", "--epsilon", "1e-9", "--p", "0.005", "--m", "8",
+         "--max-n", "100000000000000"],
+        ["compare", "--p", "0.01", "--scheme", "ec:8+3", "--scheme", "rep:3",
+         "--dcs", "100000000000000"],
+        ["curve", "--x", "p", "--values", "0.01", "--scheme", "ec:8+3",
+         "--dcs", "100000000000000"],
+        ["simulate", "--scenario", "availability", "--m", "8", "--n", "3",
+         "--dcs", "100000000000000", "--trials", "1000"],
+        ["simulate", "--scenario", "availability", "--replicas", "100000000000000",
+         "--dcs", "3", "--trials", "1000"],
+    ], ids=["scheme", "curve-sweep", "plan-m", "plan-max-n", "compare-dcs",
+            "curve-dcs", "simulate-dcs", "simulate-scheme"])
+    def test_counts_above_the_table_limit_exit_2_promptly(self, runner, args):
+        started = time.monotonic()
+        result = invoke(runner, args)
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 2
+        assert "1048576" in result.stderr
+
     def test_zero_trials_is_usage_error_not_the_guard(self, runner):
         result = runner.invoke(main, [*self.LOSS, "--trials", "0"])
         assert result.exit_code == 2
+
+    def test_non_numeric_latencies_is_usage_error(self, runner):
+        result = runner.invoke(main, ["compare", "--p", "0.01", "--scheme", "rep:3",
+                                      "--scheme", "ec:8+3", "--latencies", "1,far"])
+        assert result.exit_code == 2
+        assert "latencies must be numbers" in result.stderr
 
     def test_infinite_latency_is_usage_error(self, runner):
         result = runner.invoke(main, ["--format", "json", "compare", "--p", "0.01",

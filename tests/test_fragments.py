@@ -45,6 +45,11 @@ class TestRoundTrip:
         path = write_fragment(frag, tmp_path / "x.ecfr")
         assert read_fragment(path) == frag
 
+    def test_more_than_255_fragments_cannot_be_serialized(self):
+        frag = Fragment(OID, ErasureScheme(200, 56), 0, b"x", 1)
+        with pytest.raises(ValueError, match=r"m\+n must be <= 255, got 256"):
+            fragment_to_bytes(frag)
+
     def test_wire_layout_is_frozen(self):
         # independently re-pack the documented layout
         frag = rs_fragment(index=1, payload=b"xyz")

@@ -206,6 +206,20 @@ class TestEcUnavailability:
                     p_u, m, n
                 )
 
+    def test_empty_dcs_change_nothing(self):
+        # fragments in DCs 0, 5 and 9 of 12 against the same layout in 0..2
+        for scheme, base in [(ErasureScheme(8, 3), (0, 1, 2) * 3 + (0, 1)),
+                             (ReplicationScheme(3), (0, 0, 1))]:
+            spread = tuple((0, 5, 9)[dc] for dc in base)
+            for q in (0.001, 0.01, 0.03, 0.1, 0.3):
+                for p_u in (1e-4, 0.01):
+                    model = DiskFailureModel(p_dead=0.0, p_unavail=p_u)
+                    assert placement_unavailability(
+                        model, Topology(12, q), Placement(scheme, spread)
+                    ) == placement_unavailability(
+                        model, Topology(3, q), Placement(scheme, base)
+                    )
+
     def test_placement_outside_topology_rejected(self):
         model = DiskFailureModel(0.001)
         placement = Placement(ErasureScheme(2, 1), (0, 1, 2))

@@ -117,8 +117,8 @@ class TestErasureLoss:
         (0.5, 16000, 8400),
     ])
     def test_exact_oracle_saddle_point_top_term(self, p, total, threshold):
-        # the largest term is formed from Stirling errors and deviances,
-        # which do not cancel as the total grows
+        # totals up to 16,000: a largest term formed in log space would lose
+        # digits as the total grows
         value = binomial_tail(p, total, threshold)
         expected = float(exact_binomial_tail(p, total, threshold))
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)

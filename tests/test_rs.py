@@ -196,6 +196,14 @@ class TestDecodeValidation:
         with pytest.raises(InconsistentFragmentsError, match="schemes"):
             rs_decode([a[0], b[1]])
 
+    def test_unequal_object_lengths_rejected(self):
+        import dataclasses
+
+        fragments = rs_encode(make_object(64), 3, 2)
+        bad = dataclasses.replace(fragments[1], original_length=63)
+        with pytest.raises(InconsistentFragmentsError, match="object length"):
+            rs_decode([fragments[0], bad, fragments[2]])
+
     def test_unequal_payload_lengths_rejected(self):
         import dataclasses
 
