@@ -57,8 +57,9 @@ class Fragment:
     payload: bytes
     original_length: int
     checksum: int | None = None
-    # set once a bytes payload has matched its checksum; bytes cannot change
-    # afterwards, so decoding does not compute the CRC again
+    # set once a bytes payload has matched its checksum, or had it computed
+    # here; bytes cannot change afterwards, so decoding does not compute the
+    # CRC again
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,6 +78,8 @@ class Fragment:
             raise ValueError("original_length must be >= 1")
         if self.checksum is None:
             object.__setattr__(self, "checksum", zlib.crc32(self.payload))
+            if isinstance(self.payload, bytes):
+                object.__setattr__(self, "_verified", True)
 
     @property
     def payload_len(self) -> int:

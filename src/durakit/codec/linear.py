@@ -59,6 +59,19 @@ class LinearCode:
         # the field size can still be planned, just not encoded
         return tuple(tuple(row) for row in self.build_rows())
 
+    @cached_property
+    def recoverable_table(self) -> np.ndarray:
+        """Entry s: whether the fragments in survivor mask s (bit i is fragment
+        i) determine the data.  Built on first use, by one batched rank pass."""
+        return _recoverable_table(self)
+
+    @cached_property
+    def failure_profile(self) -> tuple[int, ...]:
+        """U_t for t = 0..count: how many t-fragment losses leave the data undetermined."""
+        lost = self.count - _mask_bits(self.count).sum(axis=1)
+        counts = np.bincount(lost[~self.recoverable_table], minlength=self.count + 1)
+        return tuple(counts.tolist())
+
 
 @lru_cache(maxsize=256)
 def code_of(scheme) -> LinearCode:
@@ -234,14 +247,63 @@ def decode(fragments: Iterable[Fragment], mds: bool) -> bytes:
     return solve(code, fragments)[0]
 
 
+def _mask_bits(count: int) -> np.ndarray:
+    """Row s holds the ``count`` bits of mask s, lowest first, as booleans."""
+    return ((np.arange(1 << count)[:, None] >> np.arange(count)) & 1).astype(bool)
+
+
+def _recoverable_table(code: LinearCode) -> np.ndarray:
+    """Whether each survivor mask determines the data, by one batched rank pass.
+
+    Masks of fewer than k survivors cannot.  Every other mask stands for
+    the generator with the rows of its lost fragments zeroed, which leaves
+    the rank of the rest unchanged.  All those N x k matrices are eliminated
+    together, one column at a time: each takes its first unused row that is
+    nonzero there as the pivot, scales it to a leading 1 and subtracts it
+    from its other unused rows.  The data is determined when every column
+    found a pivot.  The temporaries hold at most 2**N * N * k entries: under
+    1 MiB for the 10-fragment LRC.
+    """
+    n, k = code.count, code.k
+    bits = _mask_bits(n)
+    table = np.zeros(len(bits), dtype=bool)
+    candidates = np.flatnonzero(bits.sum(axis=1) >= k)
+    work = bits[candidates, :, None] * np.array(code.rows, dtype=np.uint8)
+    inverse = np.array(gf256.INV_TABLE, dtype=np.uint8)
+    products = gf256.MUL_TABLE.ravel()
+    each = np.arange(len(candidates))
+    used = np.zeros((len(candidates), n), dtype=bool)
+    full = np.ones(len(candidates), dtype=bool)
+    for c in range(k):
+        nonzero = (work[:, :, c] != 0) & ~used
+        pivot = nonzero.argmax(axis=1)  # the first unused nonzero, if any
+        # a matrix with no pivot here is rank-deficient; what follows for it
+        # no longer matters
+        full &= nonzero[each, pivot]
+        used[each, pivot] = True
+        scale = inverse[work[each, pivot, c]].astype(np.intp) << 8
+        pivot_row = products.take(scale[:, None] | work[each, pivot, c + 1 :])
+        factor = np.where(used, 0, work[:, :, c]).astype(np.intp) << 8
+        work[:, :, c + 1 :] ^= products.take(factor[:, :, None] | pivot_row[:, None, :])
+    table[candidates] = full
+    table.setflags(write=False)  # every caller of the code shares it
+    return table
+
+
 def recoverable(code: LinearCode, failed: Iterable[int]) -> bool:
-    """Whether the fragments outside ``failed`` determine all k data shards."""
+    """Whether the fragments outside ``failed`` determine all k data shards.
+
+    An MDS code survives any count - k losses and no more; any other code
+    looks the pattern up in its cached survivor table.
+    """
     failed = set(failed)
     for index in failed:
         if not 0 <= index < code.count:
             raise ValueError(f"index {index} outside 0..{code.count - 1}")
-    surviving = [row for i, row in enumerate(code.rows) if i not in failed]
-    return gf256.matrix_rank(surviving, code.k) == code.k
+    if code.mds:
+        return len(failed) <= code.count - code.k
+    survivors = (1 << code.count) - 1 - sum(1 << index for index in failed)
+    return bool(code.recoverable_table[survivors])
 
 
 def repair_sources(

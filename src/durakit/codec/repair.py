@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from ..placement import Placement
@@ -34,7 +33,8 @@ def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
     """Fraction of failure patterns of each size 0..max_t that lose no data.
 
     MDS rows are analytic (all patterns up to count-k losses, none beyond);
-    other codes take an exhaustive rank test over every pattern.
+    other codes read their failure profile, which one batched rank pass over
+    every survivor set computes once per code.
     """
     code = linear.code_of(scheme)
     if not 0 <= max_t <= code.count:
@@ -46,10 +46,7 @@ def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
         if code.mds:
             good = patterns if t <= code.count - code.k else 0
         else:
-            good = sum(
-                linear.recoverable(code, pattern)
-                for pattern in combinations(range(code.count), t)
-            )
+            good = patterns - code.failure_profile[t]
         rows.append(RecoverabilityRow(t, patterns, good))
     return RecoverabilityReport(scheme.label, tuple(rows))
 

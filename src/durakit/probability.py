@@ -214,19 +214,32 @@ def replicas_needed(epsilon: float, p: float) -> int:
 
 
 def _parity_search(epsilon, p, m, cap, loss, target: str) -> int:
-    """Smallest n in 1..cap whose loss(n) meets epsilon, else SolverBoundError."""
+    """Smallest n in 1..cap whose loss(n) meets epsilon, else SolverBoundError.
+
+    The loss falls as n grows, so n doubles from 1 (capped at ``cap``) until
+    it meets the target, and the answer is bisected between the last n that
+    missed and the first that met: at most about 2*log2(cap) + 2 losses.
+    """
     _check_prob("epsilon", epsilon, exclusive=True)
     _check_prob("p", p, exclusive=True)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    for n in range(1, cap + 1):
-        if meets_target(loss(n), epsilon):
-            return n
-    raise SolverBoundError(
-        f"no parity count n <= {cap} {target} {epsilon!r} for m={m}, p={p!r}"
-    )
+    missed, met = 0, 1
+    while not meets_target(loss(met), epsilon):
+        if met == cap:
+            raise SolverBoundError(
+                f"no parity count n <= {cap} {target} {epsilon!r} for m={m}, p={p!r}"
+            )
+        missed, met = met, min(2 * met, cap)
+    while met - missed > 1:
+        mid = (missed + met) // 2
+        if meets_target(loss(mid), epsilon):
+            met = mid
+        else:
+            missed = mid
+    return met
 
 
 def parity_needed(

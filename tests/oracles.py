@@ -119,3 +119,44 @@ def exact_reachable_pmf(count: int, q: float, p_unavail: float) -> list[Fraction
             prob *= pu if down else 1 - pu
         pmf[count - sum(states)] += prob
     return pmf
+
+
+def _gf256_mul(a: int, b: int) -> int:
+    """a * b in GF(2^8) modulo x^8 + x^4 + x^3 + x^2 + 1, by shift and add."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+        b >>= 1
+    return acc
+
+
+def gf256_rank(rows, cols: int) -> int:
+    """Rank over GF(2^8) of the first ``cols`` columns of ``rows``.
+
+    Plain Gaussian elimination that never divides: a row is cleared against
+    the pivot row by cross-multiplying, a * row ^ b * pivot, which keeps the
+    row space of the rows below the pivot.
+    """
+    work = [list(row[:cols]) for row in rows]
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for i in range(rank + 1, len(work)):
+            if work[i][c]:
+                a, b = top[c], work[i][c]
+                work[i] = [_gf256_mul(a, x) ^ _gf256_mul(b, y) for x, y in zip(work[i], top)]
+        rank += 1
+    return rank
+
+
+def first_meeting(loss, epsilon: float, cap: int):
+    """Smallest n in 1..cap with loss(n) <= epsilon, trying every n in turn; None if none."""
+    return next((n for n in range(1, cap + 1) if loss(n) <= epsilon), None)

@@ -104,6 +104,15 @@ class TestChecksumOnce:
         assert rs_decode(parsed[2:]) == bytes(range(200)) * 5
         assert len(calls) == len(blobs)
 
+    def test_encode_then_decode_computes_each_crc_once(self, monkeypatch):
+        data = bytes(range(256)) * 16
+        calls = self.count_crcs(monkeypatch)
+        fragments = rs_encode(data, 8, 3)
+        assert len(calls) == 11
+        assert rs_decode(fragments) == data
+        assert rs_decode(fragments[3:]) == data
+        assert len(calls) == 11
+
     def test_wrong_checksum_still_raises(self):
         fragments = rs_encode(b"payload under test" * 10, 3, 2)
         fragments[1].verify_checksum()
@@ -120,7 +129,8 @@ class TestChecksumOnce:
         calls = self.count_crcs(monkeypatch)
         assert rs_decode([mutable, fragments[1]]) == data
         assert rs_decode([mutable, fragments[1]]) == data
-        assert len(calls) == 3  # the bytearray twice, the bytes payload once
+        # the bytearray twice; the bytes payload's CRC was computed at encode
+        assert len(calls) == 2
         payload[0] ^= 0xFF
         with pytest.raises(ChecksumError):
             rs_decode([mutable, fragments[1]])

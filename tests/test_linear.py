@@ -1,15 +1,21 @@
 """The one solve over every scheme's generator rows."""
 
 import random
+import subprocess
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from durakit.codec import gf256, linear
 from durakit.codec.linear import code_of, encode, solve
-from durakit.codec.lrc import LRC_6_2_2, lrc_recoverable
+from durakit.codec.lrc import LRC_6_2_2, generator_rows, lrc_recoverable
+from durakit.codec.repair import recoverability_report
 from durakit.errors import UnrecoverableError
 from durakit.probability import ErasureScheme, ReplicationScheme
+
+from oracles import gf256_rank
 
 
 def check_solve(code, data, fragments):
@@ -105,3 +111,79 @@ class TestReductionCache:
             with pytest.raises(UnrecoverableError):
                 solve(code, survivors)
         assert len(reductions) == 2
+
+
+def surviving_rows(code, mask):
+    return [row for i, row in enumerate(code.rows) if mask >> i & 1]
+
+
+class TestRankPass:
+    """One batched rank pass per code: its survivor table and failure profile."""
+
+    LRC_PROFILE = (0, 0, 0, 0, 30, 252, 210, 120, 45, 10, 1)
+
+    def test_lrc_table_matches_scalar_rank_on_every_mask(self):
+        code = code_of(LRC_6_2_2)
+        table = code.recoverable_table
+        assert table.shape == (1024,)
+        for mask in range(1024):
+            rows = surviving_rows(code, mask)
+            full = gf256.matrix_rank(rows, code.k) == code.k
+            assert full == (gf256_rank(rows, code.k) == code.k)
+            assert table[mask] == full, mask
+
+    def test_lrc_failure_profile(self):
+        assert code_of(LRC_6_2_2).failure_profile == self.LRC_PROFILE
+
+    def test_lrc_report_counts_every_pattern(self):
+        code = code_of(LRC_6_2_2)
+        expected = [
+            (t, comb(10, t), sum(
+                gf256_rank([code.rows[i] for i in range(10) if i not in lost], 6) == 6
+                for lost in combinations(range(10), t)
+            ))
+            for t in range(11)
+        ]
+        assert [good for _, total, good in expected] == [
+            comb(10, t) - u for t, u in enumerate(self.LRC_PROFILE)
+        ]
+        for t in range(11):
+            report = recoverability_report(LRC_6_2_2, t)
+            assert report.scheme_label == "lrc:6+2+2"
+            got = [(r.failures, r.total_patterns, r.recoverable) for r in report.rows]
+            assert got == expected[: t + 1]
+
+    @pytest.mark.parametrize(
+        "scheme", [ReplicationScheme(3), ErasureScheme(4, 2), ErasureScheme(3, 3)],
+        ids=lambda scheme: scheme.label,
+    )
+    def test_mds_count_rule_agrees_with_rank(self, scheme):
+        code = code_of(scheme)
+        for mask in range(1 << code.count):
+            failed = [i for i in range(code.count) if not mask >> i & 1]
+            full = gf256_rank(surviving_rows(code, mask), code.k) == code.k
+            assert linear.recoverable(code, failed) == full, failed
+            assert code.recoverable_table[mask] == full, failed
+
+    def test_built_on_first_use_then_cached(self, monkeypatch):
+        code = linear.LinearCode(LRC_6_2_2, (), generator_rows)
+        assert "recoverable_table" not in vars(code)
+        calls = []
+        real = linear._recoverable_table
+        monkeypatch.setattr(
+            linear, "_recoverable_table", lambda c: calls.append(c) or real(c)
+        )
+        assert not linear.recoverable(code, {0, 1, 6, 8})
+        assert linear.recoverable(code, [0, 1, 6, 6])
+        assert code.failure_profile == self.LRC_PROFILE
+        assert calls == [code]
+        with pytest.raises(ValueError, match="outside 0..9"):
+            linear.recoverable(code, {10})
+
+    def test_nothing_enumerated_at_import(self):
+        script = (
+            "import durakit, durakit.cli\n"
+            "from durakit.codec import linear\n"
+            "assert 'recoverable_table' not in vars(linear.code_of(durakit.LRC_6_2_2))\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)

@@ -4,7 +4,10 @@ import random
 import sys
 
 import pytest
+from click.testing import CliRunner
 
+from durakit import probability
+from durakit.cli import main
 from durakit.codec import LRC_6_2_2
 from durakit.errors import SolverBoundError
 from durakit.probability import (
@@ -24,7 +27,7 @@ from durakit.probability import (
     replicas_needed,
 )
 
-from oracles import enumerate_loss, exact_binomial_tail
+from oracles import enumerate_loss, exact_binomial_tail, first_meeting
 
 
 class TestReplicationLoss:
@@ -233,6 +236,58 @@ class TestParityNeeded:
                     n = parity_needed(epsilon, p, m)
                     assert prob_loss_ec(p, m, n) <= epsilon
                     assert n == 1 or prob_loss_ec(p, m, n - 1) > epsilon
+
+
+class TestParitySearch:
+    """Doubling then bisection finds the same n as trying every n in turn."""
+
+    def test_agrees_with_linear_scan(self):
+        rng = random.Random(14)
+        cases = [
+            (10 ** rng.uniform(-15, -3), 10 ** rng.uniform(-6, -2), rng.randint(2, 200))
+            for _ in range(300)
+        ] + [
+            (10 ** rng.uniform(-15, -1), 10 ** rng.uniform(-8, -0.3), rng.randint(1, 400))
+            for _ in range(300)
+        ]
+        for epsilon, p, m in cases:
+            for cap in (1, 5, DEFAULT_PARITY_CAP):
+                for solver, loss in (
+                    (parity_needed, lambda n: prob_loss_ec(p, m, n)),
+                    (gaussian_parity_estimate,
+                     lambda n: gaussian_tail_loss(p, m, n) if p <= n / (m + n) else 1.0),
+                ):
+                    want = first_meeting(loss, epsilon, cap)
+                    if want is None:
+                        with pytest.raises(SolverBoundError):
+                            solver(epsilon, p, m, cap)
+                    else:
+                        assert solver(epsilon, p, m, cap) == want, (epsilon, p, m, cap)
+
+    def test_bound_message(self):
+        with pytest.raises(SolverBoundError, match=(
+            r"^no parity count n <= 4 achieves loss probability at most 1e-30 "
+            r"for m=8, p=0.5$"
+        )):
+            parity_needed(1e-30, 0.5, 8, cap=4)
+
+    def test_huge_cap_takes_logarithmically_many_tails(self, monkeypatch):
+        calls = []
+        real = probability.binomial_tail
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(probability, "binomial_tail", counting)
+        cap = 1_000_000
+        result = CliRunner().invoke(main, [
+            "plan", "--mode", "ec", "--epsilon", "1e-6", "--p", "0.5",
+            "--m", "1000000", "--max-n", str(cap),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "no parity count n <= 1000000" in result.output
+        assert 0 < len(calls) <= 2 * math.log2(cap) + 2
 
 
 class TestOneTargetRule:
