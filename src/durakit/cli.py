@@ -234,7 +234,7 @@ def _emit(settings: Settings, payload: dict, default_fmt: str = "table") -> None
     default=None,
     help="Output serialization [default: table; curve defaults to csv].",
 )
-@click.option("--precision", type=int, default=3, show_default=True,
+@click.option("--precision", type=click.IntRange(min=0), default=3, show_default=True,
               help="Significant figures in table output.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Simulation seed; never wall clock.")

@@ -11,9 +11,10 @@ from it alone.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
@@ -41,15 +42,16 @@ class LinearCode:
     local_sets: tuple[tuple[int, ...], ...]
     build_rows: Callable[[], list[list[int]]] = field(repr=False)
 
-    @property
+    # cached: the repair search asks for a rank many times per plan
+    @cached_property
     def k(self) -> int:
         return self.scheme.data_fragments
 
-    @property
+    @cached_property
     def count(self) -> int:
         return self.scheme.fragment_count
 
-    @property
+    @cached_property
     def mds(self) -> bool:
         return self.scheme.mds
 
@@ -59,17 +61,32 @@ class LinearCode:
         # the field size can still be planned, just not encoded
         return tuple(tuple(row) for row in self.build_rows())
 
+    def rank(self, survivors: Set[int]) -> int:
+        """Rank of the rows of the fragments in ``survivors``, a set of indices.
+
+        Any k rows of an MDS code are independent, so its rank is the survivor
+        count capped at k; any other code looks the set up in its rank table.
+        """
+        if self.mds:
+            return min(len(survivors), self.k)
+        return int(self._ranks[sum(1 << index for index in survivors)])
+
+    def unrecoverable(self, lost: int) -> int:
+        """U_t for t = ``lost``: how many t-fragment losses leave the data undetermined."""
+        if self.mds:
+            return comb(self.count, lost) if lost > self.count - self.k else 0
+        return self.failure_profile[lost]
+
     @cached_property
-    def recoverable_table(self) -> np.ndarray:
-        """Entry s: whether the fragments in survivor mask s (bit i is fragment
-        i) determine the data.  Built on first use, by one batched rank pass."""
-        return _recoverable_table(self)
+    def _ranks(self) -> np.ndarray:
+        # built on first use, by one batched pass over all 2**count masks
+        return _rank_table(self)
 
     @cached_property
     def failure_profile(self) -> tuple[int, ...]:
-        """U_t for t = 0..count: how many t-fragment losses leave the data undetermined."""
+        """U_t for t = 0..count, from the rank table: a histogram of lost counts."""
         lost = self.count - _mask_bits(self.count).sum(axis=1)
-        counts = np.bincount(lost[~self.recoverable_table], minlength=self.count + 1)
+        counts = np.bincount(lost[self._ranks < self.k], minlength=self.count + 1)
         return tuple(counts.tolist())
 
 
@@ -252,58 +269,49 @@ def _mask_bits(count: int) -> np.ndarray:
     return ((np.arange(1 << count)[:, None] >> np.arange(count)) & 1).astype(bool)
 
 
-def _recoverable_table(code: LinearCode) -> np.ndarray:
-    """Whether each survivor mask determines the data, by one batched rank pass.
+def _rank_table(code: LinearCode) -> np.ndarray:
+    """The rank of every survivor mask, by one batched elimination.
 
-    Masks of fewer than k survivors cannot.  Every other mask stands for
-    the generator with the rows of its lost fragments zeroed, which leaves
-    the rank of the rest unchanged.  All those N x k matrices are eliminated
-    together, one column at a time: each takes its first unused row that is
-    nonzero there as the pivot, scales it to a leading 1 and subtracts it
-    from its other unused rows.  The data is determined when every column
-    found a pivot.  The temporaries hold at most 2**N * N * k entries: under
-    1 MiB for the 10-fragment LRC.
+    Mask s stands for the generator with the rows of its lost fragments
+    zeroed, which leaves the rank of the rest unchanged.  All 2**N of those
+    N x k matrices are eliminated together, one column at a time: each takes
+    its first unused row that is nonzero there as the pivot, scales it to a
+    leading 1 and subtracts it from its other unused rows.  Only a pivot
+    actually found is marked used, and a mask's rank is the number it
+    found.  The temporaries hold 2**N * N * k entries: under 1 MiB for the
+    10-fragment LRC.
     """
     n, k = code.count, code.k
-    bits = _mask_bits(n)
-    table = np.zeros(len(bits), dtype=bool)
-    candidates = np.flatnonzero(bits.sum(axis=1) >= k)
-    work = bits[candidates, :, None] * np.array(code.rows, dtype=np.uint8)
+    work = _mask_bits(n)[:, :, None] * np.array(code.rows, dtype=np.uint8)
     inverse = np.array(gf256.INV_TABLE, dtype=np.uint8)
     products = gf256.MUL_TABLE.ravel()
-    each = np.arange(len(candidates))
-    used = np.zeros((len(candidates), n), dtype=bool)
-    full = np.ones(len(candidates), dtype=bool)
+    each = np.arange(len(work))
+    used = np.zeros((len(work), n), dtype=bool)
+    ranks = np.zeros(len(work), dtype=np.int64)
     for c in range(k):
         nonzero = (work[:, :, c] != 0) & ~used
         pivot = nonzero.argmax(axis=1)  # the first unused nonzero, if any
-        # a matrix with no pivot here is rank-deficient; what follows for it
-        # no longer matters
-        full &= nonzero[each, pivot]
-        used[each, pivot] = True
+        found = nonzero[each, pivot]
+        ranks += found
+        used[each, pivot] |= found
+        # with no pivot found, every unused row is zero in column c, so the
+        # update below clears nothing, whatever row argmax fell back to
         scale = inverse[work[each, pivot, c]].astype(np.intp) << 8
         pivot_row = products.take(scale[:, None] | work[each, pivot, c + 1 :])
         factor = np.where(used, 0, work[:, :, c]).astype(np.intp) << 8
         work[:, :, c + 1 :] ^= products.take(factor[:, :, None] | pivot_row[:, None, :])
-    table[candidates] = full
-    table.setflags(write=False)  # every caller of the code shares it
-    return table
+    ranks.setflags(write=False)  # every caller of the code shares it
+    return ranks
 
 
 def recoverable(code: LinearCode, failed: Iterable[int]) -> bool:
-    """Whether the fragments outside ``failed`` determine all k data shards.
-
-    An MDS code survives any count - k losses and no more; any other code
-    looks the pattern up in its cached survivor table.
-    """
+    """Whether the fragments outside ``failed`` determine all k data shards:
+    whether their rows have rank k."""
     failed = set(failed)
     for index in failed:
         if not 0 <= index < code.count:
             raise ValueError(f"index {index} outside 0..{code.count - 1}")
-    if code.mds:
-        return len(failed) <= code.count - code.k
-    survivors = (1 << code.count) - 1 - sum(1 << index for index in failed)
-    return bool(code.recoverable_table[survivors])
+    return code.rank(set(range(code.count)) - failed) == code.k
 
 
 def repair_sources(
@@ -312,9 +320,10 @@ def repair_sources(
     """Fragments to read to rebuild ``failed``, in the order they are chosen.
 
     A declared local repair set is used whole when all of it survives.
-    Otherwise survivors are taken same-DC-first: an MDS code needs exactly
-    its first k of them, any other code accumulates survivors until the
-    failed row is in their span and then drops each source it can spare.
+    Otherwise survivors are taken same-DC-first until the failed row is in
+    their span, and then each source that can be spared is dropped.  Every
+    span test is one ``code.rank`` lookup, so for an MDS code this returns
+    the first k survivors.
     """
     gone = {failed, *unavailable}
     if code.local_sets and gone.isdisjoint(code.local_sets[failed]):
@@ -325,31 +334,27 @@ def repair_sources(
         (i for i in range(code.count) if i not in gone),
         key=lambda i: (placement.dc_of(i) != failed_dc, i),
     )
-    if code.mds:
-        if len(survivors) < code.k:
-            raise UnrecoverableError(
-                f"need {code.k} fragments to rebuild, only {len(survivors)} survive"
-            )
-        return survivors[: code.k]
+    chosen: set[int] = set()
 
-    rows = code.rows
+    def covers() -> bool:
+        # the failed row is in the span of ``chosen`` when adding it leaves
+        # the rank as it is; the set is changed in place, so that each test
+        # costs the same however many fragments the code has
+        rank = code.rank(chosen)
+        chosen.add(failed)
+        spanned = code.rank(chosen) == rank
+        chosen.remove(failed)
+        return spanned
 
-    def covers(indices):
-        base = [rows[i] for i in indices]
-        rank = gf256.matrix_rank(base, code.k)
-        return gf256.matrix_rank([*base, rows[failed]], code.k) == rank
-
-    chosen: list[int] = []
-    for index in survivors:
-        chosen.append(index)
-        if covers(chosen):
+    for taken, index in enumerate(survivors, 1):
+        chosen.add(index)
+        if covers():
             break
     else:
-        raise UnrecoverableError(
-            f"fragment {failed} cannot be rebuilt from the survivors"
-        )
-    for index in list(chosen):
-        trimmed = [i for i in chosen if i != index]
-        if trimmed and covers(trimmed):
-            chosen = trimmed
-    return chosen
+        raise UnrecoverableError(f"fragment {failed} cannot be rebuilt from the survivors")
+    order = survivors[:taken]
+    for index in order:
+        chosen.remove(index)
+        if not covers():
+            chosen.add(index)
+    return [index for index in order if index in chosen]

@@ -32,9 +32,7 @@ class RecoverabilityReport:
 def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
     """Fraction of failure patterns of each size 0..max_t that lose no data.
 
-    MDS rows are analytic (all patterns up to count-k losses, none beyond);
-    other codes read their failure profile, which one batched rank pass over
-    every survivor set computes once per code.
+    Each row reads the code's count of unrecoverable patterns of that size.
     """
     code = linear.code_of(scheme)
     if not 0 <= max_t <= code.count:
@@ -43,11 +41,7 @@ def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
     rows = []
     for t in range(max_t + 1):
         patterns = comb(code.count, t)
-        if code.mds:
-            good = patterns if t <= code.count - code.k else 0
-        else:
-            good = patterns - code.failure_profile[t]
-        rows.append(RecoverabilityRow(t, patterns, good))
+        rows.append(RecoverabilityRow(t, patterns, patterns - code.unrecoverable(t)))
     return RecoverabilityReport(scheme.label, tuple(rows))
 
 
@@ -71,15 +65,16 @@ def repair_plan(
 ) -> RepairPlan:
     """Pick rebuild sources for one failed fragment, minimizing remote transfers.
 
-    Replication copies from a single surviving replica, same-DC if one
-    exists.  Reed-Solomon reads m fragments preferring the failed disk's
-    own data center.  LRC repairs a data or local-parity loss from the
-    three other members of its group and a global parity from all six data
-    shards; degraded cases fall back to any spanning set of survivors.
+    ``linear.repair_sources`` reads an intact local repair set whole (an LRC
+    data or local-parity loss reads the rest of its group), or else takes
+    survivors same-DC-first until they determine the fragment and drops any
+    it can spare: one replica, or m Reed-Solomon fragments.  Every index,
+    failed or unavailable, must lie in 0..N-1.
     """
     code = linear.code_of(placement.scheme)
-    if not 0 <= failed_index < code.count:
-        raise ValueError(f"failed_index {failed_index} outside 0..{code.count - 1}")
+    for index in (failed_index, *unavailable):
+        if not 0 <= index < code.count:
+            raise ValueError(f"index {index} outside 0..{code.count - 1}")
     sources = linear.repair_sources(code, placement, failed_index, unavailable)
     failed_dc = placement.dc_of(failed_index)
     dcs = tuple(placement.dc_of(s) for s in sources)

@@ -15,10 +15,6 @@ from ..probability import ErasureScheme
 from . import gf256, linear
 from .fragments import MAX_TOTAL_FRAGMENTS, Fragment
 
-# re-exported: the object id and shard size are the same for every scheme
-derive_object_id = linear.derive_object_id
-shard_length = linear.shard_length
-
 
 def parity_matrix(m: int, n: int) -> list[list[int]]:
     """n x m Cauchy block with rows scaled so column 0 is all ones.

@@ -5,6 +5,7 @@ exhaustive state enumeration, sharing no code path with the library.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -155,6 +156,49 @@ def gf256_rank(rows, cols: int) -> int:
                 work[i] = [_gf256_mul(a, x) ^ _gf256_mul(b, y) for x, y in zip(work[i], top)]
         rank += 1
     return rank
+
+
+@lru_cache(maxsize=None)
+def _subset_rank(rows, indices: frozenset, cols: int) -> int:
+    return gf256_rank([rows[i] for i in sorted(indices)], cols)
+
+
+def scalar_repair_sources(code, placement, failed: int, unavailable) -> list[int] | None:
+    """Rebuild sources for ``failed`` by the original scalar search; None if none.
+
+    An intact declared local set is used whole; otherwise survivors are taken
+    same-DC-first, an MDS code reads its first k of them, and any other code
+    accumulates survivors until one scalar rank test per step says the failed
+    row lies in their span, then drops, in order, each source whose removal
+    keeps it there.
+    """
+    gone = {failed, *unavailable}
+    if code.local_sets and gone.isdisjoint(code.local_sets[failed]):
+        return list(code.local_sets[failed])
+    failed_dc = placement.dc_of(failed)
+    survivors = sorted(
+        (i for i in range(code.count) if i not in gone),
+        key=lambda i: (placement.dc_of(i) != failed_dc, i),
+    )
+    if code.mds:
+        return survivors[: code.k] if len(survivors) >= code.k else None
+
+    def covers(indices):
+        base = _subset_rank(code.rows, frozenset(indices), code.k)
+        return _subset_rank(code.rows, frozenset([*indices, failed]), code.k) == base
+
+    chosen: list[int] = []
+    for index in survivors:
+        chosen.append(index)
+        if covers(chosen):
+            break
+    else:
+        return None
+    for index in list(chosen):
+        trimmed = [i for i in chosen if i != index]
+        if trimmed and covers(trimmed):
+            chosen = trimmed
+    return chosen
 
 
 def first_meeting(loss, epsilon: float, cap: int):

@@ -686,6 +686,12 @@ class TestHostileInput:
         assert result.exit_code == 2
         assert "1048576" in result.stderr
 
+    def test_negative_precision_is_usage_error(self, runner):
+        result = runner.invoke(main, ["--precision", "-1", "plan", "--mode", "replication",
+                                      "--epsilon", "1e-6", "--p", "0.01"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--precision'" in result.stderr
+
     def test_zero_trials_is_usage_error_not_the_guard(self, runner):
         result = runner.invoke(main, [*self.LOSS, "--trials", "0"])
         assert result.exit_code == 2

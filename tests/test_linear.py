@@ -117,20 +117,26 @@ def surviving_rows(code, mask):
     return [row for i, row in enumerate(code.rows) if mask >> i & 1]
 
 
+def indices_of(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 class TestRankPass:
-    """One batched rank pass per code: its survivor table and failure profile."""
+    """``LinearCode.rank``: a count rule for MDS codes, one batched rank pass otherwise."""
 
     LRC_PROFILE = (0, 0, 0, 0, 30, 252, 210, 120, 45, 10, 1)
 
     def test_lrc_table_matches_scalar_rank_on_every_mask(self):
         code = code_of(LRC_6_2_2)
-        table = code.recoverable_table
-        assert table.shape == (1024,)
+        assert code._ranks.shape == (1024,)
+        ranks = set()
         for mask in range(1024):
             rows = surviving_rows(code, mask)
-            full = gf256.matrix_rank(rows, code.k) == code.k
-            assert full == (gf256_rank(rows, code.k) == code.k)
-            assert table[mask] == full, mask
+            rank = gf256_rank(rows, code.k)
+            assert gf256.matrix_rank(rows, code.k) == rank
+            assert code.rank(indices_of(mask)) == rank, mask
+            ranks.add(rank)
+        assert ranks == set(range(7))
 
     def test_lrc_failure_profile(self):
         assert code_of(LRC_6_2_2).failure_profile == self.LRC_PROFILE
@@ -159,19 +165,29 @@ class TestRankPass:
     )
     def test_mds_count_rule_agrees_with_rank(self, scheme):
         code = code_of(scheme)
+        # the batched pass is exact for any code, so it checks the count rule too
+        table = linear._rank_table(code)
         for mask in range(1 << code.count):
             failed = [i for i in range(code.count) if not mask >> i & 1]
-            full = gf256_rank(surviving_rows(code, mask), code.k) == code.k
-            assert linear.recoverable(code, failed) == full, failed
-            assert code.recoverable_table[mask] == full, failed
+            rank = gf256_rank(surviving_rows(code, mask), code.k)
+            assert code.rank(indices_of(mask)) == rank == table[mask], failed
+            assert linear.recoverable(code, failed) == (rank == code.k), failed
+        assert "_ranks" not in vars(code)
+
+    def test_mds_report_builds_no_table(self):
+        code = code_of(ErasureScheme(300, 3))
+        report = recoverability_report(ErasureScheme(300, 3), 303)
+        assert [r.recoverable for r in report.rows[:4]] == [comb(303, t) for t in range(4)]
+        assert {r.recoverable for r in report.rows[4:]} == {0}
+        assert "_ranks" not in vars(code) and "failure_profile" not in vars(code)
 
     def test_built_on_first_use_then_cached(self, monkeypatch):
         code = linear.LinearCode(LRC_6_2_2, (), generator_rows)
-        assert "recoverable_table" not in vars(code)
+        assert "_ranks" not in vars(code)
         calls = []
-        real = linear._recoverable_table
+        real = linear._rank_table
         monkeypatch.setattr(
-            linear, "_recoverable_table", lambda c: calls.append(c) or real(c)
+            linear, "_rank_table", lambda c: calls.append(c) or real(c)
         )
         assert not linear.recoverable(code, {0, 1, 6, 8})
         assert linear.recoverable(code, [0, 1, 6, 6])
@@ -184,6 +200,6 @@ class TestRankPass:
         script = (
             "import durakit, durakit.cli\n"
             "from durakit.codec import linear\n"
-            "assert 'recoverable_table' not in vars(linear.code_of(durakit.LRC_6_2_2))\n"
+            "assert '_ranks' not in vars(linear.code_of(durakit.LRC_6_2_2))\n"
         )
         subprocess.run([sys.executable, "-c", script], check=True)

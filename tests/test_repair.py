@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import pytest
 
+from durakit.codec import gf256, linear
 from durakit.codec.lrc import DEFAULT_DC_ASSIGNMENT, LRC_6_2_2
 from durakit.codec.repair import recoverability_report, repair_plan
 from durakit.errors import UnrecoverableError
-from durakit.placement import Placement
+from durakit.placement import Placement, balanced_placement
 from durakit.probability import ErasureScheme, ReplicationScheme
+
+from oracles import scalar_repair_sources
 
 
 def rs_6_3_three_per_dc():
@@ -120,6 +125,56 @@ class TestPlanShape:
     def test_bad_failed_index(self):
         with pytest.raises(ValueError):
             repair_plan(rep3_one_per_dc(), 9)
+
+    @pytest.mark.parametrize("unavailable", [(99, -3), (10,), (-1,), (1, 10)])
+    def test_bad_unavailable_index(self, unavailable):
+        with pytest.raises(ValueError, match=r"outside 0\.\.9"):
+            repair_plan(lrc_default(), 0, unavailable)
+
+
+def search_cases(placement, extra):
+    """Every (failed, unavailable) pattern with up to ``extra`` unavailable fragments."""
+    count = placement.scheme.fragment_count
+    for failed in range(count):
+        others = [i for i in range(count) if i != failed]
+        for size in range(extra + 1):
+            for unavailable in combinations(others, size):
+                yield failed, unavailable
+
+
+class TestRepairSearch:
+    """One rank-lookup search for every code, checked against the scalar search."""
+
+    def check(self, placement, extra):
+        code = linear.code_of(placement.scheme)
+        for failed, unavailable in search_cases(placement, extra):
+            expected = scalar_repair_sources(code, placement, failed, unavailable)
+            if expected is None:
+                with pytest.raises(UnrecoverableError, match="cannot be rebuilt"):
+                    repair_plan(placement, failed, unavailable)
+            else:
+                got = repair_plan(placement, failed, unavailable).sources
+                assert list(got) == expected, (failed, unavailable)
+
+    def test_lrc_every_pattern_up_to_three_unavailable(self):
+        self.check(lrc_default(), 3)
+
+    @pytest.mark.parametrize("scheme", [ErasureScheme(8, 3), ErasureScheme(6, 3)],
+                             ids=lambda scheme: scheme.label)
+    @pytest.mark.parametrize("dcs", range(1, 7))
+    def test_rs_reads_the_first_k_survivors(self, scheme, dcs):
+        self.check(balanced_placement(scheme, dcs), 3)
+
+    def test_degraded_lrc_repair_makes_no_scalar_elimination(self, monkeypatch):
+        calls = []
+        for name in ("matrix_rank", "row_reduce"):
+            real = getattr(gf256, name)
+            monkeypatch.setattr(
+                gf256, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        assert repair_plan(lrc_default(), 0, (1,)).sources == (2, 6, 4, 5, 7, 8)
+        assert repair_plan(lrc_default(), 8, (0,)).sources == (9, 1, 2, 3, 4, 5)
+        assert calls == []
 
 
 class TestRecoverabilityReportValidation:

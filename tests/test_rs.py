@@ -4,13 +4,8 @@ from itertools import combinations
 import pytest
 
 from durakit.codec import gf256
-from durakit.codec.rs import (
-    derive_object_id,
-    generator_matrix,
-    rs_decode,
-    rs_encode,
-    shard_length,
-)
+from durakit.codec.linear import derive_object_id, shard_length
+from durakit.codec.rs import generator_matrix, rs_decode, rs_encode
 from durakit.errors import (
     ChecksumError,
     InconsistentFragmentsError,
