@@ -49,7 +49,12 @@ class FragmentRole(enum.Enum):
 
 @dataclass(frozen=True)
 class Fragment:
-    """One codec unit: a shard of an object plus identifying metadata."""
+    """One codec unit: a shard of an object plus identifying metadata.
+
+    ``Fragment(...)`` checks every field.  ``Fragment._trusted`` checks
+    nothing: ``linear.encode`` and ``fragment_from_bytes`` use it for fields
+    they have already checked themselves.
+    """
 
     object_id: bytes
     scheme: object  # ErasureScheme or LrcScheme
@@ -80,6 +85,25 @@ class Fragment:
             object.__setattr__(self, "checksum", zlib.crc32(self.payload))
             if isinstance(self.payload, bytes):
                 object.__setattr__(self, "_verified", True)
+
+    @classmethod
+    def _trusted(
+        cls, object_id, scheme, index, payload, original_length, checksum, verified
+    ) -> Fragment:
+        """A fragment from fields its caller vouches for, with no check at all.
+
+        ``verified`` says the checksum was computed from ``payload`` here and
+        now; it is kept only for a ``bytes`` payload, which cannot change.
+        """
+        fragment = object.__new__(cls)
+        # the instance dict whole, in one frozen-safe set: cheaper than a
+        # set per field, and this runs once per fragment encoded or parsed
+        object.__setattr__(fragment, "__dict__", {
+            "object_id": object_id, "scheme": scheme, "index": index,
+            "payload": payload, "original_length": original_length,
+            "checksum": checksum, "_verified": verified and isinstance(payload, bytes),
+        })
+        return fragment
 
     @property
     def payload_len(self) -> int:
@@ -182,14 +206,20 @@ def fragment_from_bytes(data: bytes) -> Fragment:
         )
 
     scheme = _scheme_from_wire(tag, p1, p2)
+    # the checks of Fragment's own constructor that the header can fail
+    if index >= scheme.fragment_count:
+        raise MalformedFragmentError(
+            f"index {index} outside 0..{scheme.fragment_count - 1}"
+        )
+    if not payload_len:
+        raise MalformedFragmentError("fragment payload must not be empty")
+    if original_length < 1:
+        raise MalformedFragmentError("original_length must be >= 1")
     payload = data[_HEADER.size : _HEADER.size + payload_len]
     (stored_crc,) = _TRAILER.unpack_from(data, _HEADER.size + payload_len)
-    try:  # an empty payload, a zero length or an index past the scheme
-        fragment = Fragment(
-            object_id, scheme, index, payload, original_length, stored_crc
-        )
-    except ValueError as exc:
-        raise MalformedFragmentError(str(exc)) from exc
+    fragment = Fragment._trusted(
+        object_id, scheme, index, payload, original_length, stored_crc, verified=False
+    )
     fragment.verify_checksum()
     return fragment
 

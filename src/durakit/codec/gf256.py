@@ -5,18 +5,22 @@ safe to call concurrently.  Scalar helpers back the matrix algebra; bulk
 payload math goes through numpy gathers, in ``combine``, which applies a
 whole coefficient matrix to a set of equal-length sources:
 
-- Payloads shorter than ``PAIR_MIN_BYTES`` take one gather for all the
-  products of the call, on the flattened 256x256 byte table, and one XOR
-  reduction over the sources; there per-call cost dominates.  The gather
-  works in fixed blocks of at most ``GATHER_ITEMS`` products, so its index
-  buffer stays bounded whatever the code's size.
+- Payloads shorter than ``PAIR_MIN_BYTES`` take a packed-lane gather, where
+  per-call cost dominates.  ``lane_tables`` packs each group of up to
+  ``LANES`` output rows into one uint32 table, whose entry j*256 + b holds
+  matrix[i][j] * b in row i's own byte lane (the split-table idea of Plank,
+  Greenan and Miller, FAST 2013, with rows for lanes).  One index per source byte
+  then serves every group: one gather and one XOR reduction over the
+  sources per group.  The tables are built per call (k KiB per group) or,
+  for an encoder's fixed parity rows, once per code by the caller.  The
+  gather works in fixed blocks of at most ``GATHER_ITEMS`` source bytes, so
+  its index buffer stays bounded whatever the code's size.
 - Longer payloads are read as little-endian byte pairs, one output row at a
   time.  Each coefficient of 2 or more in a row gets a 65,536-entry uint16
-  pair table (a split table in the sense of Plank, Greenan and Miller, FAST
-  2013), so one gather multiplies two bytes; an odd last byte takes the byte
-  table.  The tables take about 20 us each to build and are dropped when the
-  row is done; caching one per coefficient costs more memory than it saves
-  time.
+  pair table, another split table, so one gather multiplies two bytes; an
+  odd last byte takes the byte table.  The tables take about 20 us each to
+  build and are dropped when the row is done; caching one per coefficient
+  costs more memory than it saves time.
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
   up to ``os.cpu_count()`` threads (numpy's gathers release the interpreter
   lock).  Every output byte depends only on the same bytes of the sources,
@@ -94,14 +98,15 @@ def addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
 PAIR_MIN_BYTES = 64 * 1024
 #: Stripe length; even, so only the last stripe can end on an odd byte.
 STRIPE_BYTES = 256 * 1024
-#: Products per gather below ``PAIR_MIN_BYTES``: bounds the call's intp index
-#: buffer at 2 MiB, while a 4 KiB object under RS 8+3, RS 10+4 or the LRC
-#: still takes one block.
-GATHER_ITEMS = 1 << 18
-
-_FLAT_TABLE = MUL_TABLE.ravel()
+#: Source bytes per gather below ``PAIR_MIN_BYTES``: bounds the call's intp
+#: index buffer at 1 MiB, while a 4 KiB object under RS 8+3, RS 10+4 or the
+#: LRC still takes one block.
+GATHER_ITEMS = 1 << 17
+#: Output rows packed into one uint32 lane-table entry.
+LANES = 4
 
 _PAIR = np.dtype("<u2")
+_LANE = np.dtype("<u4")
 
 
 def _pair_table(coeff: int) -> np.ndarray:
@@ -110,12 +115,29 @@ def _pair_table(coeff: int) -> np.ndarray:
     return ((row[:, None] << 8) | row[None, :]).ravel()
 
 
-def combine(matrix, sources) -> np.ndarray:
+def lane_tables(matrix) -> np.ndarray:
+    """Row g is the lane table of rows 4g..4g+3 of ``matrix``.
+
+    Entry j*256 + b of a table holds matrix[i][j] * b in byte lane i - 4g of
+    a little-endian uint32; lanes past the last row hold zero.
+    """
+    products = MUL_TABLE.take(np.asarray(matrix, dtype=np.uint8), axis=0)
+    rows, count = products.shape[:2]
+    tables = np.zeros((-(-rows // LANES), count, ORDER, LANES), dtype=np.uint8)
+    # one strided copy per lane, over every group at once
+    for lane in range(min(LANES, rows)):
+        lane_rows = products[lane::LANES]
+        tables[: len(lane_rows), :, :, lane] = lane_rows
+    return tables.view(_LANE).reshape(len(tables), -1)
+
+
+def combine(matrix, sources, lanes: np.ndarray | None = None) -> np.ndarray:
     """Row i of the result is the sum of matrix[i][j] * sources[j].
 
     ``sources`` are equal-length byte buffers (``bytes`` or uint8 arrays);
     the result is a (rows, length) uint8 array, with no rows for an empty
-    matrix.
+    matrix.  ``lanes``, when given, is ``lane_tables(matrix)``, kept by a
+    caller that applies the same matrix again and again.
     """
     length = len(sources[0])
     if length >= PAIR_MIN_BYTES:
@@ -125,23 +147,25 @@ def combine(matrix, sources) -> np.ndarray:
             _combine_pairs(coeffs, arrays, acc)
         return out
 
-    count = len(sources)
-    high = np.asarray(matrix, dtype=np.intp).reshape(len(matrix), count, 1) << 8
+    if not len(matrix):
+        return np.empty((0, length), dtype=np.uint8)
+    if lanes is None:
+        lanes = lane_tables(matrix)
     out = np.empty((len(matrix), length), dtype=np.uint8)
-    # a block spans at least GATHER_ITEMS / 256 columns, so one row over up
-    # to 256 sources fits and numpy's inner loops stay long on large codes
-    cols = GATHER_ITEMS // min(256, max(1, high.size))
-    rows = max(1, GATHER_ITEMS // (count * cols))
+    count = len(sources)
+    offsets = np.arange(0, count * ORDER, ORDER, dtype=np.intp)[:, None]
+    cols = max(1, GATHER_ITEMS // count)
     for start in range(0, length, cols):
         # slicing costs more than the join itself when one block is the call
         parts = sources if cols >= length else [
             memoryview(source)[start : start + cols] for source in sources
         ]
         low = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(count, -1)
-        for first in range(0, len(out), rows):
-            products = _FLAT_TABLE.take(high[first : first + rows] | low)
-            part = out[first : first + rows, start : start + cols]
-            np.bitwise_xor.reduce(products, axis=1, out=part)
+        index = offsets | low
+        for first, table in zip(range(0, len(out), LANES), lanes):
+            packed = np.bitwise_xor.reduce(table.take(index), axis=0)
+            part = out[first : first + LANES, start : start + cols]
+            part[...] = packed.view(np.uint8).reshape(-1, LANES)[:, : len(part)].T
     return out
 
 

@@ -11,7 +11,8 @@ from it alone.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable, Set
+import zlib
+from collections.abc import Callable, Iterable, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
@@ -71,6 +72,41 @@ class LinearCode:
             return min(len(survivors), self.k)
         return int(self._ranks[sum(1 << index for index in survivors)])
 
+    def spanning_prefix(self, order: Sequence[int], target: int) -> list[int] | None:
+        """Fragments of ``order`` that determine fragment ``target``, none to spare.
+
+        Any k rows of an MDS code span every row, so it takes the first k.  Any
+        other code takes fragments in order until ``target``'s row is in their
+        span, then drops, in order, each one it can spare.  None when all of
+        ``order`` leaves ``target`` undetermined.
+        """
+        if self.mds:
+            return list(order[: self.k]) if len(order) >= self.k else None
+        chosen: set[int] = set()
+
+        def covers() -> bool:
+            # the target row is in the span of ``chosen`` when adding it leaves
+            # the rank as it is; the set is changed in place, so that each test
+            # costs the same however many fragments the code has
+            rank = self.rank(chosen)
+            chosen.add(target)
+            spanned = self.rank(chosen) == rank
+            chosen.remove(target)
+            return spanned
+
+        for taken, index in enumerate(order, 1):
+            chosen.add(index)
+            if covers():
+                break
+        else:
+            return None
+        prefix = order[:taken]
+        for index in prefix:
+            chosen.remove(index)
+            if not covers():
+                chosen.add(index)
+        return [index for index in prefix if index in chosen]
+
     def unrecoverable(self, lost: int) -> int:
         """U_t for t = ``lost``: how many t-fragment losses leave the data undetermined."""
         if self.mds:
@@ -81,6 +117,12 @@ class LinearCode:
     def _ranks(self) -> np.ndarray:
         # built on first use, by one batched pass over all 2**count masks
         return _rank_table(self)
+
+    @cached_property
+    def parity_lanes(self) -> np.ndarray | None:
+        """``gf256.lane_tables`` of the parity rows, which every encode applies."""
+        # ceil((N - k) / 4) * k KiB, kept with the code; an RS m+0 code has none
+        return gf256.lane_tables(self.rows[self.k :]) if self.count > self.k else None
 
     @cached_property
     def failure_profile(self) -> tuple[int, ...]:
@@ -132,6 +174,8 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
         raise ValueError("cannot encode an empty object")
     if object_id is None:
         object_id = derive_object_id(data)
+    elif len(object_id) != 16:
+        raise ValueError(f"object_id must be 16 bytes, got {len(object_id)}")
 
     k = code.k
     size = shard_length(len(data), k)
@@ -139,9 +183,15 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
-    payloads += [parity.tobytes() for parity in gf256.combine(rows[k:], payloads)]
+    parities = gf256.combine(rows[k:], payloads, code.parity_lanes)
+    payloads += [parity.tobytes() for parity in parities]
+    # every field is checked above and every payload is bytes whose CRC is
+    # taken here, so each fragment is born verified
     return [
-        Fragment(object_id, code.scheme, i, payload, len(data))
+        Fragment._trusted(
+            object_id, code.scheme, i, payload, len(data), zlib.crc32(payload),
+            verified=True,
+        )
         for i, payload in enumerate(payloads)
     ]
 
@@ -149,24 +199,25 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
 def _collect(code: LinearCode, fragments: list[Fragment]) -> dict[int, Fragment]:
     """Index fragments after consistency and checksum validation."""
     first = fragments[0]
+    size = len(first.payload)
     by_index: dict[int, Fragment] = {}
     for frag in fragments:
         if frag.object_id != first.object_id:
             raise InconsistentFragmentsError("fragments from different objects")
-        if frag.scheme != code.scheme:
+        # parsed fragments share the scheme object, so ``is`` settles most
+        if frag.scheme is not code.scheme and frag.scheme != code.scheme:
             raise InconsistentFragmentsError("fragments from different schemes")
         if frag.original_length != first.original_length:
             raise InconsistentFragmentsError("fragments disagree on object length")
-        if frag.payload_len != first.payload_len:
+        if len(frag.payload) != size:
             raise InconsistentFragmentsError(
-                f"fragment {frag.index} has length {frag.payload_len}, "
-                f"expected {first.payload_len}"
+                f"fragment {frag.index} has length {len(frag.payload)}, expected {size}"
             )
         frag.verify_checksum()
         by_index.setdefault(frag.index, frag)
-    if shard_length(first.original_length, code.k) != first.payload_len:
+    if shard_length(first.original_length, code.k) != size:
         raise InconsistentFragmentsError(
-            f"shard length {first.payload_len} does not match an object of "
+            f"shard length {size} does not match an object of "
             f"{first.original_length} bytes split {code.k} ways"
         )
     return by_index
@@ -241,7 +292,7 @@ def solve(
         shards.update(zip(missing, gf256.combine(matrix, sources)))
     # whole shards go in as they are, so a one-shard object (a replica) that
     # survived is returned without a copy
-    length, size = fragments[0].original_length, fragments[0].payload_len
+    length, size = fragments[0].original_length, len(fragments[0].payload)
     data = b"".join(
         shards[j] if length >= (j + 1) * size
         else memoryview(shards[j])[: max(0, length - j * size)]
@@ -320,41 +371,19 @@ def repair_sources(
     """Fragments to read to rebuild ``failed``, in the order they are chosen.
 
     A declared local repair set is used whole when all of it survives.
-    Otherwise survivors are taken same-DC-first until the failed row is in
-    their span, and then each source that can be spared is dropped.  Every
-    span test is one ``code.rank`` lookup, so for an MDS code this returns
-    the first k survivors.
+    Otherwise the code picks survivors in same-DC-first order until they
+    determine the failed fragment, with none to spare: for an MDS code the
+    first k.
     """
     gone = {failed, *unavailable}
     if code.local_sets and gone.isdisjoint(code.local_sets[failed]):
         return list(code.local_sets[failed])
 
-    failed_dc = placement.dc_of(failed)
-    survivors = sorted(
-        (i for i in range(code.count) if i not in gone),
-        key=lambda i: (placement.dc_of(i) != failed_dc, i),
-    )
-    chosen: set[int] = set()
-
-    def covers() -> bool:
-        # the failed row is in the span of ``chosen`` when adding it leaves
-        # the rank as it is; the set is changed in place, so that each test
-        # costs the same however many fragments the code has
-        rank = code.rank(chosen)
-        chosen.add(failed)
-        spanned = code.rank(chosen) == rank
-        chosen.remove(failed)
-        return spanned
-
-    for taken, index in enumerate(survivors, 1):
-        chosen.add(index)
-        if covers():
-            break
-    else:
+    dcs = placement.assignment
+    failed_dc = dcs[failed]
+    order = [i for i, dc in enumerate(dcs) if dc == failed_dc and i not in gone]
+    order += [i for i, dc in enumerate(dcs) if dc != failed_dc and i not in gone]
+    sources = code.spanning_prefix(order, failed)
+    if sources is None:
         raise UnrecoverableError(f"fragment {failed} cannot be rebuilt from the survivors")
-    order = survivors[:taken]
-    for index in order:
-        chosen.remove(index)
-        if not covers():
-            chosen.add(index)
-    return [index for index in order if index in chosen]
+    return sources

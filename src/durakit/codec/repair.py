@@ -66,9 +66,9 @@ def repair_plan(
     """Pick rebuild sources for one failed fragment, minimizing remote transfers.
 
     ``linear.repair_sources`` reads an intact local repair set whole (an LRC
-    data or local-parity loss reads the rest of its group), or else takes
-    survivors same-DC-first until they determine the fragment and drops any
-    it can spare: one replica, or m Reed-Solomon fragments.  Every index,
+    data or local-parity loss reads the rest of its group), or else asks the
+    code for survivors, taken same-DC-first, that determine the fragment with
+    none to spare: one replica, or m Reed-Solomon fragments.  Every index,
     failed or unavailable, must lie in 0..N-1.
     """
     code = linear.code_of(placement.scheme)
@@ -76,9 +76,9 @@ def repair_plan(
         if not 0 <= index < code.count:
             raise ValueError(f"index {index} outside 0..{code.count - 1}")
     sources = linear.repair_sources(code, placement, failed_index, unavailable)
-    failed_dc = placement.dc_of(failed_index)
-    dcs = tuple(placement.dc_of(s) for s in sources)
-    local = sum(dc == failed_dc for dc in dcs)
+    assignment = placement.assignment
+    dcs = tuple([assignment[s] for s in sources])
+    local = dcs.count(assignment[failed_index])
     return RepairPlan(
         failed_index=failed_index,
         sources=tuple(sources),

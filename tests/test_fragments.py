@@ -17,7 +17,7 @@ from durakit.codec.fragments import (
     read_fragment,
     write_fragment,
 )
-from durakit.codec.linear import code_of, solve
+from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.rs import rs_decode, rs_encode
 from durakit.errors import ChecksumError, DurakitError, MalformedFragmentError
 from durakit.probability import ErasureScheme
@@ -297,3 +297,63 @@ class TestFragmentType:
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
             Fragment(OID, ErasureScheme(2, 1), 0, b"", 1)
+
+
+class TestTrustedFraming:
+    """Encode and parse skip ``Fragment``'s constructor but keep its contract."""
+
+    @staticmethod
+    def frame(index=0, original_length=17, payload=b"abcdef"):
+        header = struct.pack(
+            "<4sBBBBBB16sQQ", MAGIC, 1, 1, 3, 2, index, 0, OID, original_length,
+            len(payload),
+        )
+        return header + payload + struct.pack("<I", zlib.crc32(payload))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"index": 5}, "index 5 outside 0..4"),
+        ({"index": 255}, "index 255 outside 0..4"),
+        ({"payload": b""}, "fragment payload must not be empty"),
+        ({"original_length": 0}, "original_length must be >= 1"),
+    ])
+    def test_hostile_headers_keep_the_constructor_messages(self, fields, message):
+        with pytest.raises(MalformedFragmentError) as info:
+            fragment_from_bytes(self.frame(**fields))
+        assert str(info.value) == message
+
+    def test_parsed_bytearray_is_checked_again_at_decode(self):
+        data = b"a mutable parse" * 8
+        blobs = [fragment_to_bytes(f) for f in rs_encode(data, 2, 1)]
+        parsed = fragment_from_bytes(bytearray(blobs[0]))
+        assert isinstance(parsed.payload, bytearray)
+        assert rs_decode([parsed, fragment_from_bytes(blobs[1])]) == data
+        parsed.payload[0] ^= 0xFF
+        with pytest.raises(ChecksumError) as info:
+            rs_decode([parsed, fragment_from_bytes(blobs[1])])
+        assert info.value.index == 0
+
+    def test_parsed_memoryview_is_checked_again_at_decode(self):
+        data = b"a borrowed parse" * 8
+        blobs = [fragment_to_bytes(f) for f in rs_encode(data, 2, 1)]
+        buffer = bytearray(blobs[1])
+        parsed = fragment_from_bytes(memoryview(buffer))
+        assert rs_decode([fragment_from_bytes(blobs[0]), parsed]) == data
+        buffer[50] ^= 0xFF  # a payload byte, past the 42-byte header
+        with pytest.raises(ChecksumError):
+            rs_decode([fragment_from_bytes(blobs[0]), parsed])
+
+    @pytest.mark.parametrize("scheme", [ErasureScheme(8, 3), lrc.LRC_6_2_2],
+                             ids=lambda scheme: scheme.label)
+    def test_encoded_fragments_equal_checked_ones(self, scheme):
+        data = bytes(range(256)) * 3
+        code = code_of(scheme)
+        for frag in encode(code, data, None):
+            checked = Fragment(frag.object_id, frag.scheme, frag.index, frag.payload,
+                               frag.original_length)
+            assert frag == checked
+            assert frag.checksum == checked.checksum == zlib.crc32(frag.payload)
+            assert frag._verified and checked._verified
+
+    def test_encode_still_checks_a_given_object_id(self):
+        with pytest.raises(ValueError, match="object_id must be 16 bytes, got 5"):
+            rs_encode(b"data", 2, 1, object_id=b"short")

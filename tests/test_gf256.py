@@ -140,6 +140,32 @@ class TestCombine:
         # an RS m+0 code has no parity rows
         assert gf256.combine([], sources).shape == (0, length)
 
+    # rows 1-9 cross the edges of the 4-row lane groups
+    @pytest.mark.parametrize("rows", range(1, 10))
+    @pytest.mark.parametrize("length", (1, 511, 512, 4096, 65535))
+    def test_every_row_count_matches_the_loop(self, rows, length):
+        rng = np.random.default_rng(rows * 100_000 + length)
+        sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(7)]
+        matrix = [[int(c) for c in rng.integers(0, 256, 7)] for _ in range(rows)]
+        matrix[0][:3] = [0, 1, 255]
+        expected = np.array([self.reference(row, sources) for row in matrix])
+        assert np.array_equal(gf256.combine(matrix, sources), expected)
+        lanes = gf256.lane_tables(matrix)
+        assert lanes.shape == (-(-rows // gf256.LANES), 7 * 256)
+        assert np.array_equal(gf256.combine(matrix, sources, lanes), expected)
+
+    def test_lane_table_layout(self):
+        matrix = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+        lanes = gf256.lane_tables(matrix)
+        for row, coeffs in enumerate(matrix):
+            group, lane = divmod(row, gf256.LANES)
+            for j, coeff in enumerate(coeffs):
+                for b in (0, 1, 2, 0x80, 0xFF):
+                    entry = int(lanes[group, j * 256 + b])
+                    assert entry >> (8 * lane) & 0xFF == gf256.mul(coeff, b)
+        # the lanes past row 4 of the second group are empty
+        assert not (lanes[1] >> 8).any()
+
     def test_matrix_gather_memory_is_bounded(self):
         # unblocked, the index of RS 200+55 over 65,535-byte shards would be
         # 55 * 200 * 65535 * 8 bytes, about 5.8 GB

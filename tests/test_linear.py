@@ -106,10 +106,10 @@ class TestReductionCache:
         )
         fragments = encode(code, random.Random(6).randbytes(600), None)
         survivors = [f for f in fragments if f.index not in lost]
-        reductions.clear()  # lrc_recoverable's rank tests reduce too
         for _ in range(2):
             with pytest.raises(UnrecoverableError):
                 solve(code, survivors)
+        # lrc_recoverable reads the rank table, so both reductions are solve's
         assert len(reductions) == 2
 
 

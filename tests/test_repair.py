@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -142,6 +143,37 @@ def search_cases(placement, extra):
                 yield failed, unavailable
 
 
+def rank_loop_sources(code, placement, failed, unavailable):
+    """The accumulate-and-trim search on ``code.rank`` for every code; None if none.
+
+    This is the search an MDS code ran before it was answered by count:
+    survivors sorted same-DC-first, taken until the failed row is in their
+    span, then each one that can be spared dropped, in order.
+    """
+    gone = {failed, *unavailable}
+    failed_dc = placement.dc_of(failed)
+    survivors = sorted(
+        (i for i in range(code.count) if i not in gone),
+        key=lambda i: (placement.dc_of(i) != failed_dc, i),
+    )
+    chosen = set()
+
+    def covers():
+        return code.rank(chosen | {failed}) == code.rank(chosen)
+
+    for taken, index in enumerate(survivors, 1):
+        chosen.add(index)
+        if covers():
+            break
+    else:
+        return None
+    for index in survivors[:taken]:
+        chosen.remove(index)
+        if not covers():
+            chosen.add(index)
+    return [index for index in survivors[:taken] if index in chosen]
+
+
 class TestRepairSearch:
     """One rank-lookup search for every code, checked against the scalar search."""
 
@@ -164,6 +196,24 @@ class TestRepairSearch:
     @pytest.mark.parametrize("dcs", range(1, 7))
     def test_rs_reads_the_first_k_survivors(self, scheme, dcs):
         self.check(balanced_placement(scheme, dcs), 3)
+
+    @pytest.mark.parametrize("dcs", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mds_count_rule_matches_the_rank_loop(self, n, dcs):
+        rng = random.Random(n * 10 + dcs)
+        for m in range(1, 9):
+            scheme = ErasureScheme(m, n)
+            shuffled = Placement(scheme, [rng.randrange(dcs) for _ in range(m + n)])
+            for placement in (balanced_placement(scheme, dcs), shuffled):
+                code = linear.code_of(scheme)
+                for failed, unavailable in search_cases(placement, 2):
+                    expected = rank_loop_sources(code, placement, failed, unavailable)
+                    if expected is None:
+                        with pytest.raises(UnrecoverableError, match="cannot be rebuilt"):
+                            repair_plan(placement, failed, unavailable)
+                        continue
+                    plan = repair_plan(placement, failed, unavailable)
+                    assert list(plan.sources) == expected, (placement, failed, unavailable)
 
     def test_degraded_lrc_repair_makes_no_scalar_elimination(self, monkeypatch):
         calls = []
