@@ -17,7 +17,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -118,7 +118,7 @@ def _translate_errors(fn):
 
 
 # ---------------------------------------------------------------------------
-# scheme grammar: rep:3, ec:8+3, rs-6-3, lrc, lrc:6+2+2
+# scheme grammar: rep:3, ec:8+3, rs-6-3, lrc, lrc-6-2-2
 
 
 def parse_scheme(text: str):
@@ -127,7 +127,9 @@ def parse_scheme(text: str):
     if not match:
         raise click.BadParameter(f"unparseable scheme {text!r}")
     kind, rest = match.groups()
-    numbers = [int(v) for v in re.findall(r"\d+", rest)]
+    # counts joined by + or -; anything else has no counts, which no kind takes
+    counts = re.fullmatch(r"\d+(?:[+\-]\d+)*", rest)
+    numbers = [int(v) for v in re.split(r"[+\-]", rest)] if counts else []
     if kind in ("rep", "replication"):
         if len(numbers) != 1:
             raise click.BadParameter(f"replication takes one count, got {text!r}")
@@ -137,7 +139,7 @@ def parse_scheme(text: str):
             raise click.BadParameter(f"erasure schemes look like ec:8+3, got {text!r}")
         return _bounded(ErasureScheme(numbers[0], numbers[1]))
     if kind == "lrc":
-        if numbers not in ([], [6, 2, 2]):
+        if rest and f"lrc:{'+'.join(map(str, numbers))}" != LRC_6_2_2.label:
             raise click.BadParameter(f"only the 6+2+2 LRC is supported, got {text!r}")
         return LRC_6_2_2
     raise click.BadParameter(f"unknown scheme kind {kind!r} in {text!r}")
@@ -559,20 +561,16 @@ def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
     if axis != "p" and p is None:
         raise click.UsageError("--p is required unless it is the swept axis")
 
+    fields = {"m": ("m",), "n": ("n",), "scale": ("m", "n")}.get(axis, ())
     rows = []
     for x in points:
         p_eff = x if axis == "p" else p
         q_eff = x if axis == "q" else q
         topology = Topology(dcs, q_eff) if dcs is not None else None
         for scheme in parsed:
-            swept = scheme
-            if isinstance(scheme, ErasureScheme):
-                if axis == "m":
-                    swept = ErasureScheme(x, scheme.n)
-                elif axis == "n":
-                    swept = ErasureScheme(scheme.m, x)
-                elif axis == "scale":
-                    swept = ErasureScheme(x * scheme.m, x * scheme.n)
+            changes = {name: x * getattr(scheme, name) if axis == "scale" else x
+                       for name in fields if hasattr(scheme, name)}
+            swept = replace(scheme, **changes) if changes else scheme
             row = _comparison_row(_bounded(swept), p_eff, epsilon, topology,
                                   p_unavail, profile)
             rows.append({"x": x, **row})

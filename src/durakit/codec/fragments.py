@@ -5,8 +5,8 @@ Wire layout (little-endian), bit-exact round-trip required:
     magic           4 bytes  b"ECFR"
     version         u8       1
     scheme_tag      u8       1 = RS(m,n), 2 = LRC 6+2+2
-    param1          u8       RS: m      LRC: data fragment count (6)
-    param2          u8       RS: n      LRC: (local groups << 4) | global parities (0x22)
+    param1          u8       RS: m      LRC: data fragment count
+    param2          u8       RS: n      LRC: (local groups << 4) | global parities
     index           u8
     reserved        u8       0
     object_id       16 bytes
@@ -26,13 +26,12 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
-from ..probability import LRC_6_2_2, ErasureScheme, LrcScheme
+from ..probability import LRC_6_2_2, ErasureScheme, check_scheme
 
 MAGIC = b"ECFR"
 FORMAT_VERSION = 1
 SCHEME_TAG_RS = 1
 SCHEME_TAG_LRC = 2
-LRC_GROUP_DESCRIPTOR = 0x22  # two local groups, two global parities
 
 _HEADER = struct.Struct("<4sBBBBBB16sQQ")
 _TRAILER = struct.Struct("<I")
@@ -70,17 +69,9 @@ class Fragment:
     def __post_init__(self):
         if len(self.object_id) != 16:
             raise ValueError(f"object_id must be 16 bytes, got {len(self.object_id)}")
-        count = getattr(self.scheme, "fragment_count", None)
-        if count is None:
-            raise TypeError(
-                f"scheme {type(self.scheme).__name__} does not expose fragment_count"
-            )
-        if not 0 <= self.index < count:
-            raise ValueError(f"index {self.index} outside 0..{count - 1}")
-        if not self.payload:
-            raise ValueError("fragment payload must not be empty")
-        if self.original_length < 1:
-            raise ValueError("original_length must be >= 1")
+        check_scheme(self.scheme)
+        _check_fields(ValueError, self.scheme, self.index, self.payload,
+                      self.original_length)
         if self.checksum is None:
             object.__setattr__(self, "checksum", zlib.crc32(self.payload))
             if isinstance(self.payload, bytes):
@@ -140,16 +131,28 @@ class Fragment:
             object.__setattr__(self, "_verified", True)
 
 
+def _check_fields(error, scheme, index, payload, original_length) -> None:
+    """Raise ``error``, the caller's class, on a bad field; ``payload`` may be a length."""
+    count = scheme.fragment_count
+    if not 0 <= index < count:
+        raise error(f"index {index} outside 0..{count - 1}")
+    if not payload:
+        raise error("fragment payload must not be empty")
+    if original_length < 1:
+        raise error("original_length must be >= 1")
+
+
 def _scheme_wire_params(scheme) -> tuple[int, int, int]:
-    if isinstance(scheme, ErasureScheme):
-        if scheme.fragment_count > MAX_TOTAL_FRAGMENTS:
-            raise ValueError(
-                f"m+n must be <= {MAX_TOTAL_FRAGMENTS}, got {scheme.fragment_count}"
-            )
-        return SCHEME_TAG_RS, scheme.m, scheme.n
-    if isinstance(scheme, LrcScheme):
-        return SCHEME_TAG_LRC, scheme.data_fragments, LRC_GROUP_DESCRIPTOR
-    raise TypeError(f"cannot serialize scheme {type(scheme).__name__}")
+    """(tag, p1, p2): any MDS scheme as RS k+(N-k), any other as LRC by its groups."""
+    k, count = scheme.data_fragments, scheme.fragment_count
+    if not scheme.mds:
+        return SCHEME_TAG_LRC, k, (len(scheme.local_groups) << 4) | scheme.global_parities
+    if count > MAX_TOTAL_FRAGMENTS:
+        raise ValueError(f"m+n must be <= {MAX_TOTAL_FRAGMENTS}, got {count}")
+    return SCHEME_TAG_RS, k, count - k
+
+
+LRC_GROUP_DESCRIPTOR = _scheme_wire_params(LRC_6_2_2)[2]
 
 
 def fragment_to_bytes(fragment: Fragment) -> bytes:
@@ -176,7 +179,7 @@ def _scheme_from_wire(tag: int, p1: int, p2: int):
             raise MalformedFragmentError(f"invalid RS parameters m={p1}, n={p2}")
         return ErasureScheme(p1, p2)
     if tag == SCHEME_TAG_LRC:
-        if p1 != LRC_6_2_2.data_fragments or p2 != LRC_GROUP_DESCRIPTOR:
+        if (tag, p1, p2) != _scheme_wire_params(LRC_6_2_2):
             raise MalformedFragmentError(
                 f"invalid LRC descriptor ({p1}, {p2:#04x})"
             )
@@ -206,15 +209,7 @@ def fragment_from_bytes(data: bytes) -> Fragment:
         )
 
     scheme = _scheme_from_wire(tag, p1, p2)
-    # the checks of Fragment's own constructor that the header can fail
-    if index >= scheme.fragment_count:
-        raise MalformedFragmentError(
-            f"index {index} outside 0..{scheme.fragment_count - 1}"
-        )
-    if not payload_len:
-        raise MalformedFragmentError("fragment payload must not be empty")
-    if original_length < 1:
-        raise MalformedFragmentError("original_length must be >= 1")
+    _check_fields(MalformedFragmentError, scheme, index, payload_len, original_length)
     payload = data[_HEADER.size : _HEADER.size + payload_len]
     (stored_crc,) = _TRAILER.unpack_from(data, _HEADER.size + payload_len)
     fragment = Fragment._trusted(

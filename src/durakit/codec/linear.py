@@ -24,7 +24,7 @@ from ..errors import (
     InsufficientFragmentsError,
     UnrecoverableError,
 )
-from ..probability import ErasureScheme, LrcScheme, ReplicationScheme
+from ..probability import ErasureScheme, check_scheme
 from . import gf256
 from .fragments import Fragment
 
@@ -136,26 +136,26 @@ class LinearCode:
 def code_of(scheme) -> LinearCode:
     """Lower a scheme to its generator rows and local repair sets.
 
-    Replication with k copies is Reed-Solomon 1+(k-1), whose parity rows are
-    all ones, so its fragments are literal replicas.  Scheme kinds are told
-    apart in five places: here, in the CLI's scheme grammar, in the fragment
-    wire tag, in the CLI's m/n sweep and in ``placement.ec_unavailability``'s
-    RS-only check; everything else reads the scheme's own shape.
+    It reads the scheme's stated shape, not its class.  An MDS scheme with
+    k of N fragments is Reed-Solomon k+(N-k), to which another MDS form
+    lowers: k replicas are RS 1+(k-1), whose all-ones parity rows make
+    literal replicas.  A scheme that is not MDS is the LRC, whose rows
+    ``lrc`` builds from its local groups and global parities.
     """
     from . import lrc, rs  # deferred: both build on this module
 
-    if isinstance(scheme, ReplicationScheme):
-        return code_of(ErasureScheme(1, scheme.k - 1))
-    if isinstance(scheme, ErasureScheme):
-        return LinearCode(
-            scheme, local_sets=(),
-            build_rows=lambda: rs.generator_matrix(scheme.m, scheme.n),
-        )
-    if isinstance(scheme, LrcScheme):
+    check_scheme(scheme)
+    if not scheme.mds:
         return LinearCode(
             scheme, local_sets=lrc.LOCAL_REPAIR_SETS, build_rows=lrc.generator_rows,
         )
-    raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+    k, parities = scheme.data_fragments, scheme.fragment_count - scheme.data_fragments
+    rs_form = ErasureScheme(k, parities)
+    if scheme != rs_form:
+        return code_of(rs_form)
+    return LinearCode(
+        scheme, local_sets=(), build_rows=lambda: rs.generator_matrix(k, parities),
+    )
 
 
 def derive_object_id(data: bytes) -> bytes:

@@ -24,12 +24,12 @@ from .fragments import Fragment
 
 DATA_COUNT = LRC_6_2_2.data_fragments
 TOTAL_FRAGMENTS = LRC_6_2_2.fragment_count
-LOCAL_GROUPS = ((0, 1, 2), (3, 4, 5))
-GLOBAL_PARITY_INDICES = (8, 9)
+LOCAL_GROUPS = LRC_6_2_2.local_groups
+GLOBAL_PARITY_INDICES = tuple(range(DATA_COUNT + len(LOCAL_GROUPS), TOTAL_FRAGMENTS))
 
-GLOBAL_COEFFS = (
-    tuple(gf256.EXP[j] for j in range(DATA_COUNT)),
-    tuple(gf256.EXP[2 * j] for j in range(DATA_COUNT)),
+GLOBAL_COEFFS = tuple(
+    tuple(gf256.EXP[t * j] for j in range(DATA_COUNT))
+    for t in range(1, LRC_6_2_2.global_parities + 1)
 )
 
 #: Group -> DC, globals -> a third DC (fragments 0..9 in index order).

@@ -15,7 +15,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .probability import DiskFailureModel, ErasureScheme, _check_prob, binomial_tail
+from .probability import (DiskFailureModel, ErasureScheme, _check_prob, binomial_tail,
+                          check_scheme)
 
 
 @dataclass(frozen=True, init=False)
@@ -51,11 +52,8 @@ class Placement:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(self.assignment))
-        expected = getattr(self.scheme, "fragment_count", None)
-        if expected is None:
-            raise TypeError(
-                f"scheme {type(self.scheme).__name__} does not expose fragment_count"
-            )
+        check_scheme(self.scheme)
+        expected = self.scheme.fragment_count
         if len(self.assignment) != expected:
             raise ValueError(
                 f"assignment covers {len(self.assignment)} fragments, "

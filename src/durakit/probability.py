@@ -112,13 +112,16 @@ class LrcScheme:
 
     Six data fragments in two local groups of three, one local parity per
     group and two global parities; some four-fragment losses are fatal, so
-    it is not MDS.  ``durakit.codec.lrc`` holds its generator rows.
+    it is not MDS.  Its shape is class data, not init fields, and
+    ``durakit.codec.lrc`` builds its generator rows from it.
     """
 
     mds = False
-    fragment_count = 10
-    data_fragments = 6
-    label = "lrc:6+2+2"
+    local_groups = ((0, 1, 2), (3, 4, 5))
+    global_parities = 2
+    data_fragments = sum(map(len, local_groups))
+    fragment_count = data_fragments + len(local_groups) + global_parities
+    label = f"lrc:{data_fragments}+{len(local_groups)}+{global_parities}"
 
 
 LRC_6_2_2 = LrcScheme()
@@ -256,12 +259,17 @@ def parity_needed(
     )
 
 
+def check_scheme(scheme) -> None:
+    """Raise ``TypeError`` unless the scheme's class states the shape every layer reads."""
+    for name in ("fragment_count", "data_fragments", "label", "mds"):
+        if not hasattr(type(scheme), name):
+            raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+
+
 def redundancy_factor(scheme) -> float:
     """Storage multiplier of a scheme: fragments stored per data fragment."""
-    try:
-        return scheme.fragment_count / scheme.data_fragments
-    except AttributeError:
-        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}") from None
+    check_scheme(scheme)
+    return scheme.fragment_count / scheme.data_fragments
 
 
 def prob_any_failure(p: float, disks: int) -> float:

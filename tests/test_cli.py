@@ -48,12 +48,19 @@ class TestSchemeGrammar:
         assert parse_scheme("lrc-6-2-2").label == "lrc:6+2+2"
         assert parse_scheme("lrc:6+2+2").label == "lrc:6+2+2"
 
-    @pytest.mark.parametrize(
-        "bad", ["rep", "ec:8", "lrc:5+2+2", "raid:5", "ec:8+3+1", "8+3", "ec:1048576+1"]
-    )
+    @pytest.mark.parametrize("bad", [
+        "rep", "ec:8", "lrc:5+2+2", "raid:5", "ec:8+3+1", "8+3", "ec:1048576+1",
+        "rep:-3", "ec:8+-3", "ec:8+3abc", "ec:8 + 3", "lrc:6+2+2x",
+    ])
     def test_rejected_forms(self, bad):
         with pytest.raises(Exception):
             parse_scheme(bad)
+
+    def test_negative_count_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["compare", "--scheme", "rep:-3",
+                                      "--scheme", "ec:8+3", "--p", "0.01"])
+        assert result.exit_code == 2
+        assert "rep:-3" in result.output
 
 
 class TestPlan:
@@ -597,14 +604,22 @@ class TestCurve:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert rows[-1]["scheme"] == "ec:16+8"
 
-    def test_m_sweep_replaces_the_data_count_of_erasure_schemes(self, runner):
-        result = invoke(runner, ["curve", "--x", "m", "--values", "4,8", "--p", "0.01",
+    @pytest.mark.parametrize("axis, swept", [
+        ("m", [ErasureScheme(4, 3), ErasureScheme(8, 3)]),
+        ("n", [ErasureScheme(8, 4), ErasureScheme(8, 8)]),
+        ("scale", [ErasureScheme(32, 12), ErasureScheme(64, 24)]),
+    ], ids=["m", "n", "scale"])
+    def test_sweep_replaces_the_fields_of_erasure_schemes_only(self, runner, axis,
+                                                               swept):
+        # replication has no m or n, so every axis leaves rep:3 as it is
+        result = invoke(runner, ["curve", "--x", axis, "--values", "4,8", "--p", "0.01",
                                  "--scheme", "ec:8+3", "--scheme", "rep:3"])
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert [(r["x"], r["scheme"]) for r in rows] == [
-            ("4", "ec:4+3"), ("4", "rep:3"), ("8", "ec:8+3"), ("8", "rep:3")
+            ("4", swept[0].label), ("4", "rep:3"), ("8", swept[1].label), ("8", "rep:3")
         ]
-        assert float(rows[0]["loss"]) == prob_loss_ec(0.01, 4, 3)
+        assert float(rows[0]["loss"]) == prob_loss_ec(0.01, swept[0].m, swept[0].n)
+        assert float(rows[1]["loss"]) == float(rows[3]["loss"])
 
     def test_default_format_is_csv_with_documented_columns(self, runner):
         result = invoke(runner, ["curve", "--x", "p", "--values", "0.01",

@@ -20,7 +20,7 @@ from durakit.codec.fragments import (
 from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.rs import rs_decode, rs_encode
 from durakit.errors import ChecksumError, DurakitError, MalformedFragmentError
-from durakit.probability import ErasureScheme
+from durakit.probability import ErasureScheme, ReplicationScheme
 
 OID = bytes(range(16))
 
@@ -49,6 +49,15 @@ class TestRoundTrip:
         frag = Fragment(OID, ErasureScheme(200, 56), 0, b"x", 1)
         with pytest.raises(ValueError, match=r"m\+n must be <= 255, got 256"):
             fragment_to_bytes(frag)
+
+    def test_replication_serializes_as_rs_1_plus_k_minus_1(self):
+        data = b"three whole copies"
+        frag = Fragment(OID, ReplicationScheme(3), 2, data, len(data))
+        raw = fragment_to_bytes(frag)
+        assert raw == fragment_to_bytes(rs_encode(data, 1, 2, object_id=OID)[2])
+        parsed = fragment_from_bytes(raw)
+        assert parsed.scheme == ErasureScheme(1, 2)
+        assert (parsed.index, parsed.payload) == (2, data)
 
     def test_wire_layout_is_frozen(self):
         # independently re-pack the documented layout
@@ -320,6 +329,10 @@ class TestTrustedFraming:
         with pytest.raises(MalformedFragmentError) as info:
             fragment_from_bytes(self.frame(**fields))
         assert str(info.value) == message
+        checked = {"index": 0, "payload": b"abcdef", "original_length": 17, **fields}
+        with pytest.raises(ValueError) as info:
+            Fragment(OID, ErasureScheme(3, 2), **checked)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_parsed_bytearray_is_checked_again_at_decode(self):
         data = b"a mutable parse" * 8

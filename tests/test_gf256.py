@@ -167,8 +167,8 @@ class TestCombine:
         assert not (lanes[1] >> 8).any()
 
     def test_matrix_gather_memory_is_bounded(self):
-        # unblocked, the index of RS 200+55 over 65,535-byte shards would be
-        # 55 * 200 * 65535 * 8 bytes, about 5.8 GB
+        # unblocked, the lane gather's index of RS 200+55 over 65,535-byte
+        # shards would be 200 * 65535 * 8 bytes, about 105 MB
         rng = np.random.default_rng(255)
         sources = [rng.integers(0, 256, 65535, dtype=np.uint8) for _ in range(200)]
         matrix = parity_matrix(200, 55)

@@ -4,7 +4,9 @@ The analytic layer (probability, placement, latency, simulate) reads a
 scheme's own shape and never imports the codec; only the codec itself, the
 CLI and the package's public re-exports in ``durakit/__init__.py`` do.
 Within the codec, ``fragments`` imports the schemes at module level, so its
-only deferred import is the codec core that ``Fragment.role`` reads.
+only deferred import is the codec core that ``Fragment.role`` reads.  Code
+dispatches on a scheme's stated shape, not on its class: the one class check
+left is ``placement.ec_unavailability``'s documented refusal of all but RS.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "durakit"
+SCHEME_CLASSES = {"ReplicationScheme", "ErasureScheme", "LrcScheme"}
 
 
 def modules():
@@ -68,3 +71,31 @@ def test_fragments_defers_only_the_import_role_needs():
 
     visit(tree, (), False)
     assert deferred == ["Fragment.role"]
+
+
+def scheme_class_checks(path, parts):
+    """Where in ``path`` an ``isinstance`` names a scheme class, by qualified name."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*where, child.name))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2):
+                named = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for n in ast.walk(child.args[1])
+                }
+                if named & SCHEME_CLASSES:
+                    found.add(".".join(where))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), parts)
+    return found
+
+
+def test_only_ec_unavailability_checks_a_scheme_class():
+    found = set().union(*(scheme_class_checks(path, parts) for path, parts in modules()))
+    assert found == {"durakit.placement.ec_unavailability"}

@@ -9,11 +9,13 @@ from math import comb
 import pytest
 
 from durakit.codec import gf256, linear
+from durakit.codec.fragments import Fragment
 from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.lrc import LRC_6_2_2, generator_rows, lrc_recoverable
 from durakit.codec.repair import recoverability_report
 from durakit.errors import UnrecoverableError
-from durakit.probability import ErasureScheme, ReplicationScheme
+from durakit.placement import Placement
+from durakit.probability import ErasureScheme, ReplicationScheme, redundancy_factor
 
 from oracles import gf256_rank
 
@@ -50,6 +52,17 @@ def test_rs_8_3_every_eight_subset():
     fragments = encode(code, data, None)
     for kept in combinations(fragments, 8):
         check_solve(code, data, list(kept))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Fragment(bytes(16), "rep:3", 0, b"x", 1),
+    lambda: Placement("rep:3", (0, 0, 0)),
+    lambda: redundancy_factor("rep:3"),
+    lambda: code_of("rep:3"),
+], ids=["Fragment", "Placement", "redundancy_factor", "code_of"])
+def test_every_layer_refuses_a_non_scheme_alike(build):
+    with pytest.raises(TypeError, match="^unsupported scheme type: str$"):
+        build()
 
 
 def test_surviving_replica_is_returned_without_a_copy():

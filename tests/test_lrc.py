@@ -6,8 +6,11 @@ import pytest
 from durakit.codec import gf256
 from durakit.codec.lrc import (
     DATA_COUNT,
+    DEFAULT_DC_ASSIGNMENT,
     GLOBAL_COEFFS,
+    GLOBAL_PARITY_INDICES,
     LOCAL_GROUPS,
+    LOCAL_REPAIR_SETS,
     LRC_6_2_2,
     TOTAL_FRAGMENTS,
     generator_rows,
@@ -49,6 +52,23 @@ class TestEncodeStructure:
                 for pos, byte in enumerate(fragments[j].payload):
                     expected[pos] ^= gf256.mul(coeff, byte)
             assert fragments[8 + g].payload == bytes(expected)
+
+    def test_literal_tables_follow_the_local_groups(self):
+        # a fragment's repair set is the rest of its group plus the group's
+        # parity, a global's is every data shard; group g lives in DC g and
+        # the globals in DC l, after the l groups
+        groups = LRC_6_2_2.local_groups
+        repair_sets, dcs = {}, {}
+        for g, group in enumerate(groups):
+            parity = DATA_COUNT + g
+            for i in (*group, parity):
+                repair_sets[i] = tuple(sorted({*group, parity} - {i}))
+                dcs[i] = g
+        for i in GLOBAL_PARITY_INDICES:
+            repair_sets[i] = tuple(range(DATA_COUNT))
+            dcs[i] = len(groups)
+        assert LOCAL_REPAIR_SETS == tuple(repair_sets[i] for i in range(TOTAL_FRAGMENTS))
+        assert DEFAULT_DC_ASSIGNMENT == tuple(dcs[i] for i in range(TOTAL_FRAGMENTS))
 
     def test_storage_overhead(self):
         data, fragments = encode_sample(600)
