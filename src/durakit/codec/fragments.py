@@ -27,6 +27,7 @@ from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
 from ..probability import LRC_6_2_2, ErasureScheme, check_scheme
+from . import gf256
 
 MAGIC = b"ECFR"
 FORMAT_VERSION = 1
@@ -44,11 +45,19 @@ class FragmentRole(enum.Enum):
     DATA = "data"
     LOCAL_PARITY = "local-parity"
     GLOBAL_PARITY = "global-parity"
+    REPLICA = "replica"
 
 
 @dataclass(frozen=True)
 class Fragment:
     """One codec unit: a shard of an object plus identifying metadata.
+
+    ``payload`` is ``bytes``, or a read-only memoryview over ``bytes``.  A
+    fragment that ``linear.encode`` or ``fragment_from_bytes`` makes with a
+    payload of ``gf256.PAIR_MIN_BYTES`` or more keeps its whole wire frame,
+    and its payload is a view into that frame, so no payload byte is copied
+    between the frame and the codec.  Shorter payloads are copies, which
+    cost less than a view at that size.
 
     ``Fragment(...)`` checks every field.  ``Fragment._trusted`` checks
     nothing: ``linear.encode`` and ``fragment_from_bytes`` use it for fields
@@ -58,13 +67,16 @@ class Fragment:
     object_id: bytes
     scheme: object  # ErasureScheme or LrcScheme
     index: int
-    payload: bytes
+    payload: bytes | memoryview = field(repr=False)
     original_length: int
     checksum: int | None = None
-    # set once a bytes payload has matched its checksum, or had it computed
-    # here; bytes cannot change afterwards, so decoding does not compute the
-    # CRC again
+    # set once an immutable payload has matched its checksum, or had it
+    # computed here; it cannot change afterwards, so decoding does not
+    # compute the CRC again
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
+    # the wire frame ``payload`` is a view into, which ``fragment_to_bytes``
+    # returns as it is; ``dataclasses.replace`` drops it with the old fields
+    _frame: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.object_id) != 16:
@@ -74,17 +86,20 @@ class Fragment:
                       self.original_length)
         if self.checksum is None:
             object.__setattr__(self, "checksum", zlib.crc32(self.payload))
-            if isinstance(self.payload, bytes):
+            if _immutable(self.payload):
                 object.__setattr__(self, "_verified", True)
 
     @classmethod
     def _trusted(
-        cls, object_id, scheme, index, payload, original_length, checksum, verified
+        cls, object_id, scheme, index, payload, original_length, checksum, verified,
+        frame=None,
     ) -> Fragment:
         """A fragment from fields its caller vouches for, with no check at all.
 
         ``verified`` says the checksum was computed from ``payload`` here and
-        now; it is kept only for a ``bytes`` payload, which cannot change.
+        now, and that the payload is immutable (``_immutable``).  ``frame``,
+        when given, is the fragment's wire frame, with ``payload`` a view
+        into it.
         """
         fragment = object.__new__(cls)
         # the instance dict whole, in one frozen-safe set: cheaper than a
@@ -92,9 +107,31 @@ class Fragment:
         object.__setattr__(fragment, "__dict__", {
             "object_id": object_id, "scheme": scheme, "index": index,
             "payload": payload, "original_length": original_length,
-            "checksum": checksum, "_verified": verified and isinstance(payload, bytes),
+            "checksum": checksum, "_verified": verified, "_frame": frame,
         })
         return fragment
+
+    @classmethod
+    def _framed(cls, object_id, scheme, index, source, original_length) -> Fragment:
+        """A verified fragment written straight into its wire frame.
+
+        ``source``'s bytes are copied once, into the frame, and the payload
+        is a view of them there.
+        """
+        checksum = zlib.crc32(source)
+        header = _wire_header(scheme, index, object_id, original_length, len(source))
+        frame = b"".join((header, source, _TRAILER.pack(checksum)))
+        payload = memoryview(frame)[_HEADER.size : -_TRAILER.size]
+        return cls._trusted(
+            object_id, scheme, index, payload, original_length, checksum, True, frame
+        )
+
+    def __reduce__(self):
+        # a memoryview cannot be pickled, but the frame it views can, and it
+        # parses back to an equal fragment
+        if self._frame is None:
+            return super().__reduce__()
+        return fragment_from_bytes, (self._frame,)
 
     @property
     def payload_len(self) -> int:
@@ -102,12 +139,15 @@ class Fragment:
 
     @property
     def role(self) -> FragmentRole:
-        """The first k rows are data; a parity row with a zero is local, else global."""
+        """The first k rows are data.  A parity row of a one-shard code is a
+        whole copy; otherwise a parity row with a zero is local, else global."""
         from .linear import code_of  # deferred: the codec core builds on Fragment
 
         code = code_of(self.scheme)
         if self.index < code.k:
             return FragmentRole.DATA
+        if code.k == 1:
+            return FragmentRole.REPLICA
         if all(code.rows[self.index]):
             return FragmentRole.GLOBAL_PARITY
         return FragmentRole.LOCAL_PARITY
@@ -115,20 +155,35 @@ class Fragment:
     def verify_checksum(self) -> None:
         """Raise ``ChecksumError`` unless the payload matches its CRC-32.
 
-        A ``bytes`` payload is checked once per fragment; any other buffer
+        An immutable payload is checked once per fragment; any other buffer
         may have changed since, so it is checked on every call.
         """
         if self._verified:
             return
-        actual = zlib.crc32(self.payload)
-        if actual != self.checksum:
-            raise ChecksumError(
-                f"fragment {self.index}: payload CRC {actual:#010x} does not "
-                f"match recorded {self.checksum:#010x}",
-                index=self.index,
-            )
-        if isinstance(self.payload, bytes):
+        _check_crc(self.index, self.payload, self.checksum)
+        if _immutable(self.payload):
             object.__setattr__(self, "_verified", True)
+
+
+def _check_crc(index, payload, checksum) -> None:
+    actual = zlib.crc32(payload)
+    if actual != checksum:
+        raise ChecksumError(
+            f"fragment {index}: payload CRC {actual:#010x} does not "
+            f"match recorded {checksum:#010x}",
+            index=index,
+        )
+
+
+def _immutable(payload) -> bool:
+    """Whether ``payload`` can never change: ``bytes``, or a view over ``bytes``.
+
+    A view over a bytearray, an mmap or an array can, so its CRC is checked
+    on every use.
+    """
+    return isinstance(payload, bytes) or (
+        isinstance(payload, memoryview) and isinstance(payload.obj, bytes)
+    )
 
 
 def _check_fields(error, scheme, index, payload, original_length) -> None:
@@ -155,20 +210,21 @@ def _scheme_wire_params(scheme) -> tuple[int, int, int]:
 LRC_GROUP_DESCRIPTOR = _scheme_wire_params(LRC_6_2_2)[2]
 
 
-def fragment_to_bytes(fragment: Fragment) -> bytes:
-    tag, p1, p2 = _scheme_wire_params(fragment.scheme)
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        tag,
-        p1,
-        p2,
-        fragment.index,
-        0,
-        fragment.object_id,
-        fragment.original_length,
-        fragment.payload_len,
+def _wire_header(scheme, index, object_id, original_length, payload_len) -> bytes:
+    tag, p1, p2 = _scheme_wire_params(scheme)
+    return _HEADER.pack(
+        MAGIC, FORMAT_VERSION, tag, p1, p2, index, 0, object_id, original_length,
+        payload_len,
     )
+
+
+def fragment_to_bytes(fragment: Fragment) -> bytes:
+    """The fragment's wire frame: the one it keeps, or else a new one, which
+    copies the payload once."""
+    if fragment._frame is not None:
+        return fragment._frame
+    header = _wire_header(fragment.scheme, fragment.index, fragment.object_id,
+                          fragment.original_length, fragment.payload_len)
     return b"".join((header, fragment.payload, _TRAILER.pack(fragment.checksum)))
 
 
@@ -188,6 +244,12 @@ def _scheme_from_wire(tag: int, p1: int, p2: int):
 
 
 def fragment_from_bytes(data: bytes) -> Fragment:
+    """Parse one wire frame, checking every header field and the payload CRC.
+
+    A ``bytes`` frame with a payload of ``gf256.PAIR_MIN_BYTES`` or more is
+    kept whole, and the payload is a read-only view into it; a shorter
+    payload, or one from any other buffer, is sliced as that buffer slices.
+    """
     if len(data) < _HEADER.size + _TRAILER.size:
         raise MalformedFragmentError(
             f"fragment truncated: {len(data)} bytes is below the minimum "
@@ -210,13 +272,17 @@ def fragment_from_bytes(data: bytes) -> Fragment:
 
     scheme = _scheme_from_wire(tag, p1, p2)
     _check_fields(MalformedFragmentError, scheme, index, payload_len, original_length)
-    payload = data[_HEADER.size : _HEADER.size + payload_len]
-    (stored_crc,) = _TRAILER.unpack_from(data, _HEADER.size + payload_len)
-    fragment = Fragment._trusted(
-        object_id, scheme, index, payload, original_length, stored_crc, verified=False
+    end = _HEADER.size + payload_len
+    (stored_crc,) = _TRAILER.unpack_from(data, end)
+    if payload_len >= gf256.PAIR_MIN_BYTES and isinstance(data, bytes):
+        payload, frame = memoryview(data)[_HEADER.size : end], data
+    else:
+        payload, frame = data[_HEADER.size : end], None
+    _check_crc(index, payload, stored_crc)
+    return Fragment._trusted(
+        object_id, scheme, index, payload, original_length, stored_crc,
+        _immutable(payload), frame,
     )
-    fragment.verify_checksum()
-    return fragment
 
 
 def write_fragment(fragment: Fragment, path: str | Path) -> Path:

@@ -177,19 +177,36 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     elif len(object_id) != 16:
         raise ValueError(f"object_id must be 16 bytes, got {len(object_id)}")
 
-    k = code.k
-    size = shard_length(len(data), k)
+    k, length = code.k, len(data)
+    size = shard_length(length, k)
     view = memoryview(data)
+    if size >= gf256.PAIR_MIN_BYTES:
+        # each long fragment is written once, straight into its wire frame:
+        # a data shard from the caller's buffer, read in place (so that can
+        # change afterwards), and a parity row from ``combine``'s output.
+        # Only a shard that runs past the object's end is copied first, to
+        # pad it with zeros.
+        shards = [view[j * size : (j + 1) * size] for j in range(k)]
+        shards = [
+            shard if len(shard) == size else b"".join((shard, bytes(size - len(shard))))
+            for shard in shards
+        ]
+        parities = gf256.combine(rows[k:], shards)
+        return [
+            Fragment._framed(object_id, code.scheme, i, source, length)
+            for i, source in enumerate([*shards, *parities])
+        ]
+    # below the pair path a copy costs less than a view, so short shards are
+    # copied out; every field is checked above and every payload is bytes
+    # whose CRC is taken here, so each fragment is born verified
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
     parities = gf256.combine(rows[k:], payloads, code.parity_lanes)
     payloads += [parity.tobytes() for parity in parities]
-    # every field is checked above and every payload is bytes whose CRC is
-    # taken here, so each fragment is born verified
     return [
         Fragment._trusted(
-            object_id, code.scheme, i, payload, len(data), zlib.crc32(payload),
+            object_id, code.scheme, i, payload, length, zlib.crc32(payload),
             verified=True,
         )
         for i, payload in enumerate(payloads)
@@ -290,8 +307,9 @@ def solve(
         used += read
         sources = [by_index[i].payload for i in used]
         shards.update(zip(missing, gf256.combine(matrix, sources)))
-    # whole shards go in as they are, so a one-shard object (a replica) that
-    # survived is returned without a copy
+    # the join copies each data shard once, from its payload or from the
+    # solve's output, into the result; a lone ``bytes`` shard, a short
+    # replica, is returned as it is
     length, size = fragments[0].original_length, len(fragments[0].payload)
     data = b"".join(
         shards[j] if length >= (j + 1) * size

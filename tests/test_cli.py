@@ -518,6 +518,28 @@ class TestCodecCommands:
         for path in files:
             assert read_fragment(path).payload == data
 
+    @pytest.mark.parametrize("scheme, lost", [("rs:8+3", 3), ("lrc", 3), ("rep:3", 2)])
+    def test_long_shards_match_the_library_and_decode(self, runner, tmp_path, scheme,
+                                                       lost):
+        from pathlib import Path
+
+        from durakit.codec import fragment_to_bytes, gf256
+        from durakit.codec.linear import code_of, encode
+
+        data, files = self.encode(runner, tmp_path, scheme=scheme, size=600_003)
+        fragments = encode(code_of(parse_scheme(scheme)), data, None)
+        # every shard takes the pair path, whose fragments keep their frames
+        assert min(f.payload_len for f in fragments) >= gf256.PAIR_MIN_BYTES
+        assert [Path(path).read_bytes() for path in files] == [
+            fragment_to_bytes(f) for f in fragments
+        ]
+        out = tmp_path / "restored.bin"
+        # the first ``lost`` fragments are data, so the decode has to solve
+        result = invoke(runner, ["--format", "json", "codec", "decode", *files[lost:],
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        assert out.read_bytes() == data
+
     def test_report_lrc(self, runner):
         result = invoke(runner, ["--format", "json", "codec", "report",
                                  "--scheme", "lrc-6-2-2", "--max-t", "4"])

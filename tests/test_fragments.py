@@ -1,12 +1,14 @@
 import dataclasses
+import random
 import struct
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from durakit.codec import lrc
+from durakit.codec import gf256, lrc
 from durakit.codec.fragments import (
     LRC_GROUP_DESCRIPTOR,
     MAGIC,
@@ -129,6 +131,17 @@ class TestChecksumOnce:
         with pytest.raises(ChecksumError) as info:
             rs_decode([fragments[0], bad, fragments[2]])
         assert info.value.index == 1
+
+    @pytest.mark.parametrize("size", [1_000, 8 * gf256.PAIR_MIN_BYTES],
+                             ids=["short", "long"])
+    def test_view_over_bytes_is_not_checked_again_at_decode(self, monkeypatch, size):
+        data = random.Random(size).randbytes(size)
+        blobs = [fragment_to_bytes(f) for f in rs_encode(data, 4, 2)]
+        calls = self.count_crcs(monkeypatch)
+        parsed = [fragment_from_bytes(memoryview(blob)) for blob in blobs]
+        assert rs_decode(parsed) == data
+        assert rs_decode(parsed[2:]) == data
+        assert len(calls) == len(blobs)
 
     def test_bytearray_payload_checked_on_every_decode(self, monkeypatch):
         data = b"mutable payload!" * 4
@@ -286,6 +299,13 @@ class TestFragmentType:
         assert rs_fragment(index=2).role is FragmentRole.DATA
         assert rs_fragment(index=3).role is FragmentRole.GLOBAL_PARITY
 
+    @pytest.mark.parametrize("scheme", [ReplicationScheme(3), ErasureScheme(1, 2)],
+                             ids=lambda scheme: scheme.label)
+    def test_roles_replication(self, scheme):
+        roles = [Fragment(OID, scheme, i, b"x", 1).role for i in range(3)]
+        assert roles == [FragmentRole.DATA, FragmentRole.REPLICA, FragmentRole.REPLICA]
+        assert FragmentRole.REPLICA.value == "replica"
+
     def test_roles_lrc(self):
         def lf(i):
             return Fragment(OID, lrc.LRC_6_2_2, i, b"x", 1)
@@ -370,3 +390,113 @@ class TestTrustedFraming:
     def test_encode_still_checks_a_given_object_id(self):
         with pytest.raises(ValueError, match="object_id must be 16 bytes, got 5"):
             rs_encode(b"data", 2, 1, object_id=b"short")
+
+
+class TestWireFrames:
+    """A long fragment's bytes are written once, into its frame, and never
+    copied out of it: encode keeps the frame it writes, and a parse keeps the
+    bytes it was given."""
+
+    LONG = 4 * 1024 * 1024  # RS 8+3 shards of 512 KiB, past gf256.PAIR_MIN_BYTES
+
+    @staticmethod
+    def long_blob(size=LONG):
+        data = random.Random(size).randbytes(size)
+        return fragment_to_bytes(rs_encode(data, 1, 1, object_id=OID)[1])
+
+    def test_parsing_bytes_makes_no_copy(self):
+        blob = self.long_blob()
+        parsed = fragment_from_bytes(blob)
+        assert isinstance(parsed.payload, memoryview) and parsed.payload.readonly
+        assert parsed.payload.obj is blob
+        assert fragment_to_bytes(parsed) is blob
+        assert parsed._verified
+
+    def test_short_payloads_are_copies(self):
+        frag = rs_encode(bytes(range(256)) * 16, 8, 3)[9]
+        assert type(frag.payload) is bytes
+        assert type(fragment_from_bytes(fragment_to_bytes(frag)).payload) is bytes
+
+    @pytest.mark.parametrize("scheme", [ErasureScheme(8, 3), lrc.LRC_6_2_2,
+                                        ReplicationScheme(3)],
+                             ids=lambda scheme: scheme.label)
+    def test_encoded_fragments_keep_their_frames(self, scheme):
+        data = random.Random(2).randbytes(600_003)
+        for frag in encode(code_of(scheme), data, None):
+            frame = fragment_to_bytes(frag)
+            assert fragment_to_bytes(frag) is frame
+            assert frag.payload.obj is frame and frag._verified
+            rebuilt = Fragment(frag.object_id, frag.scheme, frag.index,
+                               bytes(frag.payload), frag.original_length)
+            assert rebuilt == frag and hash(rebuilt) == hash(frag)
+            assert fragment_to_bytes(rebuilt) == frame
+
+    def test_replace_writes_a_new_frame(self):
+        frag = rs_encode(random.Random(3).randbytes(self.LONG), 8, 3)[4]
+        bad = dataclasses.replace(frag, checksum=frag.checksum ^ 1)
+        raw = fragment_to_bytes(bad)
+        assert raw[:-4] == fragment_to_bytes(frag)[:-4]
+        assert struct.unpack("<I", raw[-4:]) == (frag.checksum ^ 1,)
+        with pytest.raises(ChecksumError):
+            fragment_from_bytes(raw)
+
+    @staticmethod
+    def traced_peak(action):
+        tracemalloc.start()
+        try:
+            return action(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_encode_writes_each_fragment_byte_once(self):
+        code = code_of(ErasureScheme(8, 3))
+        data = random.Random(4).randbytes(self.LONG)
+        shard = self.LONG // 8
+        shards = [data[j * shard : (j + 1) * shard] for j in range(8)]
+        # what the kernel holds to make the parity rows: the rows, their
+        # tables and its per-thread buffers
+        _, kernel = self.traced_peak(lambda: gf256.combine(code.rows[8:], shards))
+        blobs, peak = self.traced_peak(
+            lambda: [fragment_to_bytes(f) for f in encode(code, data, None)]
+        )
+        stored = sum(map(len, blobs))
+        # the kernel runs first; then every frame sits beside the parity
+        # rows: no shard is copied out of the object, and no fragment is
+        # copied out of its frame
+        assert stored <= peak < max(kernel, stored + 3 * shard) + 256 * 1024
+
+    def test_parse_allocates_no_payload(self):
+        blob = self.long_blob()
+        parsed, peak = self.traced_peak(lambda: fragment_from_bytes(blob))
+        assert parsed.payload_len == self.LONG
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("size", [1_000, 600_003], ids=["short", "long"])
+    def test_encode_does_not_alias_the_caller_buffer(self, size):
+        original = random.Random(size).randbytes(size)
+        buffer = bytearray(original)
+        code = code_of(ErasureScheme(8, 3))
+        fragments = encode(code, buffer, OID)
+        frames = [bytes(fragment_to_bytes(f)) for f in fragments]
+        buffer[:] = bytes(size)
+        assert frames == [fragment_to_bytes(f) for f in encode(code, original, OID)]
+        assert [fragment_to_bytes(f) for f in fragments] == frames
+        assert solve(code, fragments[3:])[0] == original
+
+    def test_long_fragments_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        frag = rs_encode(random.Random(5).randbytes(self.LONG), 8, 3)[9]
+        parsed = fragment_from_bytes(self.long_blob())
+        short = rs_fragment()
+        for original in (frag, parsed, short):
+            for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+                assert clone == original and clone._verified == original._verified
+                assert fragment_to_bytes(clone) == fragment_to_bytes(original)
+
+    def test_repr_leaves_the_payload_out(self):
+        parsed = fragment_from_bytes(self.long_blob(gf256.PAIR_MIN_BYTES))
+        text = repr(parsed)
+        assert "payload" not in text and "memory" not in text
+        assert text == repr(dataclasses.replace(parsed, payload=bytes(parsed.payload)))

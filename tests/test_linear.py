@@ -3,13 +3,14 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from durakit.codec import gf256, linear
-from durakit.codec.fragments import Fragment
+from durakit.codec.fragments import Fragment, fragment_from_bytes, fragment_to_bytes
 from durakit.codec.linear import code_of, encode, solve
 from durakit.codec.lrc import LRC_6_2_2, generator_rows, lrc_recoverable
 from durakit.codec.repair import recoverability_report
@@ -65,14 +66,22 @@ def test_every_layer_refuses_a_non_scheme_alike(build):
         build()
 
 
-def test_surviving_replica_is_returned_without_a_copy():
+def test_surviving_replica_is_copied_once():
+    # a long replica is parsed as a view into its frame, so a get copies the
+    # object once, into the solve's result, not once per replica it parses
     code = code_of(ReplicationScheme(3))
-    data = random.Random(4).randbytes(70_000)
-    fragments = encode(code, data, None)
-    restored, used = solve(code, fragments)
-    assert restored is fragments[0].payload
-    assert used == (0,)
-    restored, used = solve(code, fragments[2:])
+    data = random.Random(4).randbytes(1 << 20)
+    blobs = [fragment_to_bytes(f) for f in encode(code, data, None)]
+    tracemalloc.start()
+    try:
+        parsed = [fragment_from_bytes(blob) for blob in blobs]
+        restored, used = solve(code, parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(restored) is bytes and restored == data and used == (0,)
+    assert len(data) <= peak < 1.25 * len(data)
+    restored, used = solve(code, parsed[2:])
     assert restored == data and used == (2,)
 
 

@@ -203,7 +203,7 @@ class TestDecodeValidation:
         import dataclasses
 
         fragments = rs_encode(make_object(64), 3, 2)
-        bad = dataclasses.replace(fragments[1], payload=fragments[1].payload + b"x")
+        bad = dataclasses.replace(fragments[1], payload=bytes(fragments[1].payload) + b"x")
         with pytest.raises(InconsistentFragmentsError, match="length"):
             rs_decode([fragments[0], bad, fragments[2]])
 
