@@ -24,7 +24,9 @@ whole coefficient matrix to a set of equal-length sources:
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
   up to ``os.cpu_count()`` threads (numpy's gathers release the interpreter
   lock).  Every output byte depends only on the same bytes of the sources,
-  so the result is identical at any thread count.
+  so the result is identical at any thread count.  It is one of the
+  long-path passes that run on worker threads; the others, the object-id
+  hash and the CRC-32s beside it, are listed in ``durakit.parallel``.
 """
 
 from __future__ import annotations

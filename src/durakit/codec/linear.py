@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from .. import parallel
 from ..errors import (
     InconsistentFragmentsError,
     InsufficientFragmentsError,
@@ -172,9 +173,7 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     rows = code.rows
     if not data:
         raise ValueError("cannot encode an empty object")
-    if object_id is None:
-        object_id = derive_object_id(data)
-    elif len(object_id) != 16:
+    if object_id is not None and len(object_id) != 16:
         raise ValueError(f"object_id must be 16 bytes, got {len(object_id)}")
 
     k, length = code.k, len(data)
@@ -183,22 +182,39 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     if size >= gf256.PAIR_MIN_BYTES:
         # each long fragment is written once, straight into its wire frame:
         # a data shard from the caller's buffer, read in place (so that can
-        # change afterwards), and a parity row from ``combine``'s output.
-        # Only a shard that runs past the object's end is copied first, to
-        # pad it with zeros.
+        # change afterwards), and a parity row from ``combine``'s output, or
+        # the shard it copies.  Only a shard that runs past the object's end
+        # is copied first, to pad it with zeros.
         shards = [view[j * size : (j + 1) * size] for j in range(k)]
         shards = [
             shard if len(shard) == size else b"".join((shard, bytes(size - len(shard))))
             for shard in shards
         ]
-        parities = gf256.combine(rows[k:], shards)
-        return [
-            Fragment._framed(object_id, code.scheme, i, source, length)
-            for i, source in enumerate([*shards, *parities])
-        ]
+        # the object id and every CRC run on worker threads while ``combine``
+        # makes the parity rows; the frames are joined here, from the
+        # finished values, so nothing depends on the thread count
+        with parallel.executor(parallel.worker_count(code.count, code.count)) as pool:
+            derived = pool.submit(derive_object_id, data) if object_id is None else None
+            # keyed by source: a source framed twice, as a replica's shard
+            # is, shares one CRC
+            crcs = {id(shard): pool.submit(zlib.crc32, shard) for shard in shards}
+            sources = [*shards, *_combine(rows[k:], shards)]
+            for source in sources[k:]:
+                if id(source) not in crcs:
+                    crcs[id(source)] = pool.submit(zlib.crc32, source)
+            if derived is not None:
+                object_id = derived.result()
+            return [
+                Fragment._framed(
+                    object_id, code.scheme, i, source, length, crcs[id(source)].result()
+                )
+                for i, source in enumerate(sources)
+            ]
     # below the pair path a copy costs less than a view, so short shards are
     # copied out; every field is checked above and every payload is bytes
     # whose CRC is taken here, so each fragment is born verified
+    if object_id is None:
+        object_id = derive_object_id(data)
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
@@ -211,6 +227,20 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
         )
         for i, payload in enumerate(payloads)
     ]
+
+
+def _combine(matrix, sources) -> Sequence:
+    """The rows of ``gf256.combine(matrix, sources)``.  On the long path a unit
+    row, a single 1 and no other nonzero, is its source itself: no field
+    work and no copy, for a replica or a shard solved from one."""
+    if len(sources[0]) < gf256.PAIR_MIN_BYTES:
+        return gf256.combine(matrix, sources)
+    units = []
+    for row in matrix:
+        nonzero = [j for j, coeff in enumerate(row) if coeff]
+        units.append(nonzero[0] if len(nonzero) == 1 and row[nonzero[0]] == 1 else None)
+    combined = iter(gf256.combine([r for r, j in zip(matrix, units) if j is None], sources))
+    return [sources[j] if j is not None else next(combined) for j in units]
 
 
 def _collect(code: LinearCode, fragments: list[Fragment]) -> dict[int, Fragment]:
@@ -306,7 +336,7 @@ def solve(
         matrix, read = _reduction(code, missing, parity)
         used += read
         sources = [by_index[i].payload for i in used]
-        shards.update(zip(missing, gf256.combine(matrix, sources)))
+        shards.update(zip(missing, _combine(matrix, sources)))
     # the join copies each data shard once, from its payload or from the
     # solve's output, into the result; a lone ``bytes`` shard, a short
     # replica, is returned as it is

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from durakit.codec import gf256, lrc
+from durakit import parallel
+from durakit.codec import fragments, gf256, lrc
 from durakit.codec.fragments import (
+    CRC_PART_BYTES,
     LRC_GROUP_DESCRIPTOR,
     MAGIC,
     Fragment,
     FragmentRole,
+    crc32,
+    crc32_combine,
     fragment_from_bytes,
     fragment_to_bytes,
     read_fragment,
@@ -500,3 +504,117 @@ class TestWireFrames:
         text = repr(parsed)
         assert "payload" not in text and "memory" not in text
         assert text == repr(dataclasses.replace(parsed, payload=bytes(parsed.payload)))
+
+
+class TestSplitCrc:
+    """A long CRC-32 is CRC'd in parts and joined: the same as zlib's, always."""
+
+    #: a part size that keeps split buffers small; ``crc32`` reads it per call
+    PART = 64 * 1024
+
+    @pytest.fixture
+    def small_parts(self, monkeypatch):
+        monkeypatch.setattr(fragments, "CRC_PART_BYTES", self.PART)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+
+    def test_combine_matches_zlib_over_random_splits(self):
+        rng = random.Random(7)
+        for length in (0, 1, 2, 3, 255, 4097, 65_537, 1_000_003):
+            data = rng.randbytes(length)
+            for cut in {0, length, *(rng.randrange(length + 1) for _ in range(4))}:
+                head, tail = data[:cut], memoryview(data)[cut:]
+                joined = crc32_combine(zlib.crc32(head), zlib.crc32(tail), len(tail))
+                assert joined == zlib.crc32(data), (length, cut)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("part", [PART, CRC_PART_BYTES], ids=["small", "real"])
+    def test_split_matches_zlib(self, monkeypatch, cpus, part):
+        monkeypatch.setattr(fragments, "CRC_PART_BYTES", part)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        rng = random.Random(cpus)
+        # on both sides of the two-part threshold, odd lengths and three parts
+        for length in (0, 1, 2 * part - 1, 2 * part, 2 * part + 1, 3 * part + 3):
+            data = rng.randbytes(length)
+            for buffer in (data, memoryview(data), bytearray(data)):
+                assert crc32(buffer) == zlib.crc32(data), (length, type(buffer))
+        # a view over part of a larger buffer, as a parsed payload is
+        framed = rng.randbytes(2 * part + 61)
+        assert crc32(memoryview(framed)[42:-4]) == zlib.crc32(framed[42:-4])
+
+    def test_long_buffers_are_split_short_ones_are_not(self, monkeypatch, small_parts):
+        calls = TestChecksumOnce.count_crcs(monkeypatch)
+        crc32(bytes(2 * self.PART - 1))
+        assert len(calls) == 1
+        crc32(bytes(2 * self.PART + 1))
+        assert sorted(calls[1:]) == [self.PART, self.PART + 1]
+
+    @pytest.mark.parametrize("where", [0.1, 0.9], ids=["first-part", "second-part"])
+    def test_flipped_byte_in_either_part_raises(self, small_parts, where):
+        data = random.Random(8).randbytes(2 * (2 * self.PART + 1))
+        frag = rs_encode(data, 2, 1, object_id=OID)[1]
+        blob = fragment_to_bytes(frag)
+        start = len(blob) - 4 - frag.payload_len
+        raw = bytearray(blob)
+        raw[start + int(where * frag.payload_len)] ^= 0x40
+        with pytest.raises(ChecksumError) as info:
+            fragment_from_bytes(bytes(raw))
+        assert info.value.index == 1
+        recorded = struct.unpack("<I", blob[-4:])[0]
+        actual = zlib.crc32(raw[start:-4])
+        assert str(info.value) == (
+            f"fragment 1: payload CRC {actual:#010x} does not match recorded {recorded:#010x}"
+        )
+
+
+class TestEquality:
+    """``==`` and ``hash`` compare every field but the frame, as the generated
+    dataclass methods do, whatever holds the payload."""
+
+    @staticmethod
+    def variants(payload):
+        """The same fragment three ways: framed by encode, parsed, and built
+        from a ``bytes`` payload."""
+        scheme = ErasureScheme(1, 1)
+        encoded = encode(code_of(scheme), payload, OID)[1]
+        parsed = fragment_from_bytes(fragment_to_bytes(encoded))
+        return [encoded, parsed, Fragment(OID, scheme, 1, bytes(payload), len(payload))]
+
+    @pytest.mark.parametrize("size", [1_000, 3 * gf256.PAIR_MIN_BYTES + 1],
+                             ids=["short", "long"])
+    def test_equal_fields_are_equal_and_hash_alike(self, size):
+        payload = random.Random(size).randbytes(size)
+        same = self.variants(payload)
+        for a in same:
+            for b in same:
+                assert a == b and hash(a) == hash(b)
+                assert not a != b
+
+    @pytest.mark.parametrize("size", [1_000, 3 * gf256.PAIR_MIN_BYTES + 1],
+                             ids=["short", "long"])
+    def test_any_differing_field_is_unequal(self, size):
+        payload = random.Random(size).randbytes(size)
+        last = payload[:-1] + bytes([payload[-1] ^ 1])
+        base = self.variants(payload)
+        checksum = base[0].checksum
+        others = [
+            *self.variants(last),
+            *(dataclasses.replace(f, checksum=checksum ^ 1) for f in base),
+            *(dataclasses.replace(f, index=0) for f in base),
+            *(dataclasses.replace(f, scheme=ReplicationScheme(2)) for f in base),
+            *(dataclasses.replace(f, object_id=bytes(16)) for f in base),
+            *(dataclasses.replace(f, original_length=size - 1) for f in base),
+        ]
+        for a in base:
+            for b in others:
+                assert a != b and b != a
+
+    def test_bytes_payload_equals_a_view_of_the_same_bytes(self):
+        payload = random.Random(9).randbytes(3 * gf256.PAIR_MIN_BYTES)
+        as_bytes = Fragment(OID, ErasureScheme(2, 1), 0, payload, 7)
+        as_view = Fragment(OID, ErasureScheme(2, 1), 0, memoryview(payload), 7)
+        assert as_bytes == as_view and hash(as_bytes) == hash(as_view)
+
+    def test_other_types_are_not_equal(self):
+        frag = rs_fragment()
+        assert frag != (frag.object_id, frag.scheme, frag.index, frag.payload)
+        assert frag.__eq__(object()) is NotImplemented

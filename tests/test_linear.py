@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from itertools import combinations
 from math import comb
 
@@ -225,3 +226,53 @@ class TestRankPass:
             "assert '_ranks' not in vars(linear.code_of(durakit.LRC_6_2_2))\n"
         )
         subprocess.run([sys.executable, "-c", script], check=True)
+
+
+class TestUnitRows:
+    """On the long path, a row with a single 1 is its source itself: a replica
+    is framed from the shard it copies and shares its CRC, and a shard solved
+    from one fragment is that fragment's payload."""
+
+    @pytest.fixture
+    def combined_rows(self, monkeypatch):
+        rows = []
+        real = gf256.combine
+
+        def recording(matrix, sources, lanes=None):
+            rows.extend(list(row) for row in matrix)
+            return real(matrix, sources, lanes)
+
+        monkeypatch.setattr(gf256, "combine", recording)
+        return rows
+
+    def test_replicas_cost_no_field_work_and_one_crc(self, combined_rows, monkeypatch):
+        code = code_of(ReplicationScheme(3))
+        data = random.Random(5).randbytes(gf256.PAIR_MIN_BYTES + 1)
+        crcs = []
+        real_crc = zlib.crc32
+
+        def counting(buffer, *args):
+            crcs.append(len(buffer))
+            return real_crc(buffer, *args)
+
+        monkeypatch.setattr(zlib, "crc32", counting)
+        fragments = encode(code, data, None)
+        assert combined_rows == [] and crcs == [len(data)]
+        assert all(f.payload == data and f.checksum == real_crc(data) for f in fragments)
+        assert [f.index for f in fragments] == [0, 1, 2]
+
+    def test_a_shard_solved_from_one_replica_is_its_payload(self, combined_rows):
+        code = code_of(ReplicationScheme(3))
+        data = random.Random(6).randbytes(gf256.PAIR_MIN_BYTES + 1)
+        parsed = [fragment_from_bytes(fragment_to_bytes(f))
+                  for f in encode(code, data, None)]
+        assert solve(code, parsed[2:]) == (data, (2,))
+        assert combined_rows == []
+
+    def test_other_rows_still_combine(self, combined_rows):
+        code = code_of(ErasureScheme(4, 2))
+        data = random.Random(7).randbytes(4 * gf256.PAIR_MIN_BYTES)
+        fragments = encode(code, data, None)
+        assert combined_rows == [list(row) for row in code.rows[4:]]
+        assert solve(code, fragments[2:])[0] == data
+        assert len(combined_rows) == 4

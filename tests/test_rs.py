@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from durakit.codec import gf256
+from durakit.codec.fragments import fragment_from_bytes, fragment_to_bytes
 from durakit.codec.linear import derive_object_id, shard_length
 from durakit.codec.rs import generator_matrix, rs_decode, rs_encode
 from durakit.errors import (
@@ -219,24 +220,34 @@ class TestDecodeValidation:
 
 
 class TestThreadCountIdentity:
-    SHARD = 3 * gf256.STRIPE_BYTES + 1  # three full stripes and a one-byte tail
+    # four full stripes and a one-byte tail, CRC'd in two parts of at least
+    # PART bytes, so every long-path job is split whenever there is a
+    # second CPU
+    PART = 2 * gf256.STRIPE_BYTES
+    SHARD = 2 * PART + 1
 
-    @pytest.mark.parametrize("kind", ["rs:8+3", "lrc:6+2+2"])
+    @pytest.mark.parametrize("kind", ["rs:8+3", "lrc:6+2+2", "rep:3"])
     def test_fragments_and_decodes_same_at_any_cpu_count(self, kind, monkeypatch):
         from durakit import parallel
-        from durakit.codec.lrc import lrc_decode, lrc_encode
+        from durakit.codec import fragments
 
-        if kind == "rs:8+3":
-            data = make_object(8 * self.SHARD, seed=91)
-            encode, decode, lost = (lambda d: rs_encode(d, 8, 3)), rs_decode, {0, 1, 2}
-        else:
-            data = make_object(6 * self.SHARD, seed=92)
-            encode, decode, lost = lrc_encode, lrc_decode, {0, 1, 3}
+        monkeypatch.setattr(fragments, "CRC_PART_BYTES", self.PART)
+        from durakit.codec.linear import code_of, encode, solve
+        from durakit.probability import LRC_6_2_2, ErasureScheme, ReplicationScheme
+
+        scheme, lost = {"rs:8+3": (ErasureScheme(8, 3), {0, 1, 2}),
+                        "lrc:6+2+2": (LRC_6_2_2, {0, 1, 3}),
+                        "rep:3": (ReplicationScheme(3), {0, 1})}[kind]
+        code = code_of(scheme)
+        # the last of several shards is padded
+        data = make_object(code.k * self.SHARD - code.k + 1, seed=91)
 
         def run():
-            fragments = encode(data)
-            survivors = [f for f in fragments if f.index not in lost]
-            return fragments, decode(survivors)
+            fragments = encode(code, data, None)
+            frames = [fragment_to_bytes(f) for f in fragments]
+            parsed = [fragment_from_bytes(frames[i]) for i in range(code.count)
+                      if i not in lost]
+            return fragments, frames, solve(code, parsed)
 
         runs = []
         for cpus in (1, 2, None):
@@ -244,7 +255,7 @@ class TestThreadCountIdentity:
                 if cpus is not None:
                     patch.setattr(parallel.os, "cpu_count", lambda: cpus)
                 runs.append(run())
-        fragments, decoded = runs[0]
+        fragments, frames, (decoded, used) = runs[0]
         assert fragments[0].payload_len == self.SHARD
-        assert decoded == data
+        assert decoded == data and not set(used) & lost
         assert all(other == runs[0] for other in runs[1:])
