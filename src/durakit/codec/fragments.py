@@ -14,6 +14,9 @@ Wire layout (little-endian), bit-exact round-trip required:
     payload_len     u64
     payload         payload_len bytes
     crc32           u32      CRC-32 of the payload
+
+A ``Fragment`` is held as its frame: ``fragment_to_bytes`` returns the frame
+it keeps, and ``fragment_from_bytes`` keeps the bytes it parses.
 """
 
 from __future__ import annotations
@@ -49,16 +52,21 @@ class FragmentRole(enum.Enum):
     REPLICA = "replica"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fragment:
     """One codec unit: a shard of an object plus identifying metadata.
 
-    ``payload`` is ``bytes``, or a read-only memoryview over ``bytes``.  A
-    fragment that ``linear.encode`` or ``fragment_from_bytes`` makes with a
-    payload of ``gf256.PAIR_MIN_BYTES`` or more keeps its whole wire frame,
-    and its payload is a view into that frame, so no payload byte is copied
-    between the frame and the codec.  Shorter payloads are copies, which
-    cost less than a view at that size.
+    Every fragment holds its wire frame, which states every field, however
+    it was made: ``Fragment(...)`` writes the frame when the fragment is
+    built, copying the payload once; ``linear.encode`` writes each fragment
+    straight into its frame; ``fragment_from_bytes`` keeps the ``bytes`` it
+    parses.  ``fragment_to_bytes``, ``==``, ``hash`` and pickling read the
+    frame alone.  ``scheme`` is the scheme the frame states, so k replicas
+    are RS 1+(k-1), as they are encoded.
+
+    ``payload`` is ``bytes`` below ``gf256.PAIR_MIN_BYTES``, where a copy
+    costs less than a view, and a read-only view into the frame from there
+    up.  Either way it cannot change, so its CRC is checked once.
 
     ``Fragment(...)`` checks every field.  ``Fragment._trusted`` checks
     nothing: ``linear.encode`` and ``fragment_from_bytes`` use it for fields
@@ -71,13 +79,9 @@ class Fragment:
     payload: bytes | memoryview = field(repr=False)
     original_length: int
     checksum: int | None = None
-    # set once an immutable payload has matched its checksum, or had it
-    # computed here; it cannot change afterwards, so decoding does not
-    # compute the CRC again
-    _verified: bool = field(default=False, init=False, repr=False, compare=False)
-    # the wire frame ``payload`` is a view into, which ``fragment_to_bytes``
-    # returns as it is; ``dataclasses.replace`` drops it with the old fields
-    _frame: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # every instance also holds ``_frame``, its wire frame, and
+    # ``_verified``, set once the payload has matched its checksum or had
+    # it computed here, so decoding does not compute the CRC again
 
     def __post_init__(self):
         if len(self.object_id) != 16:
@@ -85,22 +89,26 @@ class Fragment:
         check_scheme(self.scheme)
         _check_fields(ValueError, self.scheme, self.index, self.payload,
                       self.original_length)
-        if self.checksum is None:
-            object.__setattr__(self, "checksum", crc32(self.payload))
-            if _immutable(self.payload):
-                object.__setattr__(self, "_verified", True)
+        given = self.checksum
+        (framed,) = Fragment._framed(
+            self.object_id, _scheme_from_wire(*_scheme_wire_params(self.scheme)),
+            self.original_length, [(self.index, self.payload)],
+            [crc32(self.payload) if given is None else given],
+        )
+        # the fields as the frame states them; a given checksum is checked
+        # at first use
+        self.__dict__.update(framed.__dict__, _verified=given is None)
 
     @classmethod
     def _trusted(
         cls, object_id, scheme, index, payload, original_length, checksum, verified,
-        frame=None,
+        frame,
     ) -> Fragment:
         """A fragment from fields its caller vouches for, with no check at all.
 
-        ``verified`` says the checksum was computed from ``payload`` here and
-        now, and that the payload is immutable (``_immutable``).  ``frame``,
-        when given, is the fragment's wire frame, with ``payload`` a view
-        into it.
+        ``frame`` is the fragment's wire frame and ``payload`` its payload
+        there, as ``bytes`` or a view.  ``verified`` says the checksum matches
+        that payload.
         """
         fragment = object.__new__(cls)
         # the instance dict whole, in one frozen-safe set: cheaper than a
@@ -114,47 +122,49 @@ class Fragment:
 
     @classmethod
     def _framed(
-        cls, object_id, scheme, index, source, original_length, checksum
-    ) -> Fragment:
-        """A verified fragment written straight into its wire frame.
+        cls, object_id, scheme, original_length, sources, checksums
+    ) -> list[Fragment]:
+        """Verified fragments of one object, each written straight into its
+        wire frame, in the order of ``sources``.
 
-        ``checksum`` is the CRC-32 of ``source``, which the caller has just
-        computed.  ``source``'s bytes are copied once, into the frame, and
-        the payload is a view of them there.
+        ``sources`` yields (index, source) pairs, and ``checksums`` the CRC-32
+        of each source in turn, which the caller has just computed.  Each
+        source's bytes are copied once, into its frame.  A short ``bytes``
+        source is kept as the payload; any other payload is taken from the
+        frame.
         """
-        header = _wire_header(scheme, index, object_id, original_length, len(source))
-        frame = b"".join((header, source, _TRAILER.pack(checksum)))
-        payload = memoryview(frame)[_HEADER.size : -_TRAILER.size]
-        return cls._trusted(
-            object_id, scheme, index, payload, original_length, checksum, True, frame
-        )
+        tag, p1, p2 = _scheme_wire_params(scheme)  # once per object, not per frame
+        fragments = []
+        for (index, source), checksum in zip(sources, checksums):
+            header = _HEADER.pack(MAGIC, FORMAT_VERSION, tag, p1, p2, index, 0,
+                                  object_id, original_length, len(source))
+            frame = b"".join((header, source, _TRAILER.pack(checksum)))
+            if len(source) >= gf256.PAIR_MIN_BYTES:
+                payload = memoryview(frame)[_HEADER.size : -_TRAILER.size]
+            elif isinstance(source, bytes):
+                payload = source
+            else:
+                payload = frame[_HEADER.size : -_TRAILER.size]
+            fragments.append(cls._trusted(
+                object_id, scheme, index, payload, original_length, checksum, True,
+                frame,
+            ))
+        return fragments
 
     def __eq__(self, other):
-        # the generated comparison, but with the payloads compared last, and
-        # by one memcmp when either is a view into its frame: comparing a
-        # memoryview goes item by item, about 25 times slower
+        # the frame states every field, and two bytes compare by one memcmp
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if (self.object_id, self.scheme, self.index, self.original_length,
-                self.checksum) != (other.object_id, other.scheme, other.index,
-                                   other.original_length, other.checksum):
-            return False
-        framed, plain = (self, other) if self._frame is not None else (other, self)
-        if framed._frame is not None and (
-            plain._frame is not None or isinstance(plain.payload, bytes)
-        ):
-            # a frame holds its payload right after the header
-            return len(framed.payload) == len(plain.payload) and (
-                framed._frame.startswith(plain.payload, _HEADER.size)
-            )
-        return self.payload == other.payload
+        return self._frame == other._frame
+
+    def __hash__(self):
+        return hash(self._frame)
 
     def __reduce__(self):
-        # a memoryview cannot be pickled, but the frame it views can, and it
-        # parses back to an equal fragment
-        if self._frame is None:
-            return super().__reduce__()
-        return fragment_from_bytes, (self._frame,)
+        # a memoryview cannot be pickled, but the frame it views can; a
+        # verified fragment is checked again as it loads, an unverified one
+        # at its first decode
+        return _parse, (self._frame, self._verified)
 
     @property
     def payload_len(self) -> int:
@@ -178,14 +188,11 @@ class Fragment:
     def verify_checksum(self) -> None:
         """Raise ``ChecksumError`` unless the payload matches its CRC-32.
 
-        An immutable payload is checked once per fragment; any other buffer
-        may have changed since, so it is checked on every call.
+        The payload cannot change, so it is checked once per fragment.
         """
-        if self._verified:
-            return
-        _check_crc(self.index, self.payload, self.checksum)
-        if _immutable(self.payload):
-            object.__setattr__(self, "_verified", True)
+        if not self._verified:
+            _check_crc(self.index, self.payload, self.checksum)
+            self.__dict__["_verified"] = True
 
 
 #: Shortest part of a CRC-32 that ``crc32`` hands to a worker thread.  On a
@@ -270,17 +277,6 @@ def _check_crc(index, payload, checksum) -> None:
         )
 
 
-def _immutable(payload) -> bool:
-    """Whether ``payload`` can never change: ``bytes``, or a view over ``bytes``.
-
-    A view over a bytearray, an mmap or an array can, so its CRC is checked
-    on every use.
-    """
-    return isinstance(payload, bytes) or (
-        isinstance(payload, memoryview) and isinstance(payload.obj, bytes)
-    )
-
-
 def _check_fields(error, scheme, index, payload, original_length) -> None:
     """Raise ``error``, the caller's class, on a bad field; ``payload`` may be a length."""
     count = scheme.fragment_count
@@ -305,22 +301,9 @@ def _scheme_wire_params(scheme) -> tuple[int, int, int]:
 LRC_GROUP_DESCRIPTOR = _scheme_wire_params(LRC_6_2_2)[2]
 
 
-def _wire_header(scheme, index, object_id, original_length, payload_len) -> bytes:
-    tag, p1, p2 = _scheme_wire_params(scheme)
-    return _HEADER.pack(
-        MAGIC, FORMAT_VERSION, tag, p1, p2, index, 0, object_id, original_length,
-        payload_len,
-    )
-
-
 def fragment_to_bytes(fragment: Fragment) -> bytes:
-    """The fragment's wire frame: the one it keeps, or else a new one, which
-    copies the payload once."""
-    if fragment._frame is not None:
-        return fragment._frame
-    header = _wire_header(fragment.scheme, fragment.index, fragment.object_id,
-                          fragment.original_length, fragment.payload_len)
-    return b"".join((header, fragment.payload, _TRAILER.pack(fragment.checksum)))
+    """The fragment's wire frame, which it keeps."""
+    return fragment._frame
 
 
 @lru_cache(maxsize=1024)  # a stream repeats a few headers; hostile ones stay bounded
@@ -341,17 +324,28 @@ def _scheme_from_wire(tag: int, p1: int, p2: int):
 def fragment_from_bytes(data: bytes) -> Fragment:
     """Parse one wire frame, checking every header field and the payload CRC.
 
-    A ``bytes`` frame with a payload of ``gf256.PAIR_MIN_BYTES`` or more is
-    kept whole, and the payload is a read-only view into it; a shorter
-    payload, or one from any other buffer, is sliced as that buffer slices.
+    The fragment keeps a ``bytes`` frame as it is given.  Any other buffer
+    is copied to ``bytes`` once, so later writes to it do not reach the
+    fragment.
     """
-    if len(data) < _HEADER.size + _TRAILER.size:
+    return _parse(data if isinstance(data, bytes) else bytes(data), True)
+
+
+def _parse(frame: bytes, check: bool) -> Fragment:
+    """The fragment ``frame`` states, after a check of every header field
+    and, if ``check``, of the payload CRC; an unchecked payload is checked
+    at its first decode.
+
+    The payload is ``bytes`` below ``gf256.PAIR_MIN_BYTES`` and a read-only
+    view into ``frame`` from there up.
+    """
+    if len(frame) < _HEADER.size + _TRAILER.size:
         raise MalformedFragmentError(
-            f"fragment truncated: {len(data)} bytes is below the minimum "
+            f"fragment truncated: {len(frame)} bytes is below the minimum "
             f"{_HEADER.size + _TRAILER.size}"
         )
     magic, version, tag, p1, p2, index, reserved, object_id, original_length, payload_len = (
-        _HEADER.unpack_from(data)
+        _HEADER.unpack_from(frame)
     )
     if magic != MAGIC:
         raise MalformedFragmentError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -359,24 +353,24 @@ def fragment_from_bytes(data: bytes) -> Fragment:
         raise MalformedFragmentError(f"unsupported format version {version}")
     if reserved != 0:
         raise MalformedFragmentError(f"reserved byte must be 0, got {reserved}")
-    if len(data) != _HEADER.size + payload_len + _TRAILER.size:
+    if len(frame) != _HEADER.size + payload_len + _TRAILER.size:
         raise MalformedFragmentError(
             f"payload length field says {payload_len} but "
-            f"{len(data) - _HEADER.size - _TRAILER.size} bytes are present"
+            f"{len(frame) - _HEADER.size - _TRAILER.size} bytes are present"
         )
 
     scheme = _scheme_from_wire(tag, p1, p2)
     _check_fields(MalformedFragmentError, scheme, index, payload_len, original_length)
     end = _HEADER.size + payload_len
-    (stored_crc,) = _TRAILER.unpack_from(data, end)
-    if payload_len >= gf256.PAIR_MIN_BYTES and isinstance(data, bytes):
-        payload, frame = memoryview(data)[_HEADER.size : end], data
+    (stored_crc,) = _TRAILER.unpack_from(frame, end)
+    if payload_len >= gf256.PAIR_MIN_BYTES:
+        payload = memoryview(frame)[_HEADER.size : end]
     else:
-        payload, frame = data[_HEADER.size : end], None
-    _check_crc(index, payload, stored_crc)
+        payload = frame[_HEADER.size : end]
+    if check:
+        _check_crc(index, payload, stored_crc)
     return Fragment._trusted(
-        object_id, scheme, index, payload, original_length, stored_crc,
-        _immutable(payload), frame,
+        object_id, scheme, index, payload, original_length, stored_crc, check, frame,
     )
 
 

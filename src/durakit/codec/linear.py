@@ -204,15 +204,13 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
                     crcs[id(source)] = pool.submit(zlib.crc32, source)
             if derived is not None:
                 object_id = derived.result()
-            return [
-                Fragment._framed(
-                    object_id, code.scheme, i, source, length, crcs[id(source)].result()
-                )
-                for i, source in enumerate(sources)
-            ]
+            return Fragment._framed(
+                object_id, code.scheme, length, enumerate(sources),
+                (crcs[id(source)].result() for source in sources),
+            )
     # below the pair path a copy costs less than a view, so short shards are
-    # copied out; every field is checked above and every payload is bytes
-    # whose CRC is taken here, so each fragment is born verified
+    # copied out, and each fragment keeps its ``bytes`` payload beside its
+    # frame; every field is checked above and every CRC is taken here
     if object_id is None:
         object_id = derive_object_id(data)
     payloads = [
@@ -220,13 +218,9 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     ]
     parities = gf256.combine(rows[k:], payloads, code.parity_lanes)
     payloads += [parity.tobytes() for parity in parities]
-    return [
-        Fragment._trusted(
-            object_id, code.scheme, i, payload, length, zlib.crc32(payload),
-            verified=True,
-        )
-        for i, payload in enumerate(payloads)
-    ]
+    return Fragment._framed(
+        object_id, code.scheme, length, enumerate(payloads), map(zlib.crc32, payloads)
+    )
 
 
 def _combine(matrix, sources) -> Sequence:

@@ -52,9 +52,9 @@ class TestRoundTrip:
         assert read_fragment(path) == frag
 
     def test_more_than_255_fragments_cannot_be_serialized(self):
-        frag = Fragment(OID, ErasureScheme(200, 56), 0, b"x", 1)
+        # a fragment is its frame, so one that cannot be written is not built
         with pytest.raises(ValueError, match=r"m\+n must be <= 255, got 256"):
-            fragment_to_bytes(frag)
+            Fragment(OID, ErasureScheme(200, 56), 0, b"x", 1)
 
     def test_replication_serializes_as_rs_1_plus_k_minus_1(self):
         data = b"three whole copies"
@@ -64,6 +64,14 @@ class TestRoundTrip:
         parsed = fragment_from_bytes(raw)
         assert parsed.scheme == ErasureScheme(1, 2)
         assert (parsed.index, parsed.payload) == (2, data)
+
+    def test_replication_fragments_built_by_hand_decode(self):
+        data = b"three whole copies"
+        built = [Fragment(OID, ReplicationScheme(3), i, data, len(data)) for i in range(3)]
+        encoded = rs_encode(data, 1, 2, object_id=OID)
+        assert built == encoded
+        assert all(frag.scheme == ErasureScheme(1, 2) for frag in built)
+        assert rs_decode(built[1:]) == data
 
     def test_wire_layout_is_frozen(self):
         # independently re-pack the documented layout
@@ -97,7 +105,7 @@ class TestCorruptionDetection:
 
 
 class TestChecksumOnce:
-    """A bytes payload's CRC is computed once; anything else is checked each time."""
+    """A payload's CRC is computed once, whatever buffer it came from."""
 
     @staticmethod
     def count_crcs(monkeypatch):
@@ -147,19 +155,21 @@ class TestChecksumOnce:
         assert rs_decode(parsed[2:]) == data
         assert len(calls) == len(blobs)
 
-    def test_bytearray_payload_checked_on_every_decode(self, monkeypatch):
+    def test_bytearray_payload_is_copied_and_checked_once(self, monkeypatch):
         data = b"mutable payload!" * 4
         fragments = rs_encode(data, 2, 1)
         payload = bytearray(fragments[0].payload)
-        mutable = dataclasses.replace(fragments[0], payload=payload)
         calls = self.count_crcs(monkeypatch)
-        assert rs_decode([mutable, fragments[1]]) == data
-        assert rs_decode([mutable, fragments[1]]) == data
-        # the bytearray twice; the bytes payload's CRC was computed at encode
-        assert len(calls) == 2
+        computed = dataclasses.replace(fragments[0], payload=payload, checksum=None)
+        given = dataclasses.replace(fragments[0], payload=payload)
         payload[0] ^= 0xFF
-        with pytest.raises(ChecksumError):
-            rs_decode([mutable, fragments[1]])
+        for copied in (computed, given):
+            assert copied == fragments[0] and type(copied.payload) is bytes
+            assert rs_decode([copied, fragments[1]]) == data
+            assert rs_decode([copied, fragments[1]]) == data
+        # one at construction, where none was given, and one at the first
+        # decode, where one was
+        assert len(calls) == 2
 
 
 class TestMalformedInput:
@@ -358,26 +368,32 @@ class TestTrustedFraming:
             Fragment(OID, ErasureScheme(3, 2), **checked)
         assert type(info.value) is ValueError and str(info.value) == message
 
-    def test_parsed_bytearray_is_checked_again_at_decode(self):
+    def test_parsed_bytearray_is_copied_and_checked_once(self, monkeypatch):
         data = b"a mutable parse" * 8
         blobs = [fragment_to_bytes(f) for f in rs_encode(data, 2, 1)]
-        parsed = fragment_from_bytes(bytearray(blobs[0]))
-        assert isinstance(parsed.payload, bytearray)
-        assert rs_decode([parsed, fragment_from_bytes(blobs[1])]) == data
-        parsed.payload[0] ^= 0xFF
-        with pytest.raises(ChecksumError) as info:
-            rs_decode([parsed, fragment_from_bytes(blobs[1])])
-        assert info.value.index == 0
+        buffer = bytearray(blobs[0])
+        calls = TestChecksumOnce.count_crcs(monkeypatch)
+        parsed = fragment_from_bytes(buffer)
+        buffer[50] ^= 0xFF  # a payload byte, past the 42-byte header
+        assert type(parsed.payload) is bytes
+        assert fragment_to_bytes(parsed) == blobs[0]
+        other = fragment_from_bytes(blobs[1])
+        assert rs_decode([parsed, other]) == data
+        assert rs_decode([parsed, other]) == data
+        assert len(calls) == 2  # one per parse
 
-    def test_parsed_memoryview_is_checked_again_at_decode(self):
+    def test_parsed_memoryview_is_copied_and_checked_once(self, monkeypatch):
         data = b"a borrowed parse" * 8
         blobs = [fragment_to_bytes(f) for f in rs_encode(data, 2, 1)]
         buffer = bytearray(blobs[1])
+        calls = TestChecksumOnce.count_crcs(monkeypatch)
         parsed = fragment_from_bytes(memoryview(buffer))
-        assert rs_decode([fragment_from_bytes(blobs[0]), parsed]) == data
-        buffer[50] ^= 0xFF  # a payload byte, past the 42-byte header
-        with pytest.raises(ChecksumError):
-            rs_decode([fragment_from_bytes(blobs[0]), parsed])
+        buffer[50] ^= 0xFF
+        assert fragment_to_bytes(parsed) == blobs[1]
+        other = fragment_from_bytes(blobs[0])
+        assert rs_decode([other, parsed]) == data
+        assert rs_decode([other, parsed]) == data
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("scheme", [ErasureScheme(8, 3), lrc.LRC_6_2_2],
                              ids=lambda scheme: scheme.label)
@@ -415,6 +431,10 @@ class TestWireFrames:
         assert parsed.payload.obj is blob
         assert fragment_to_bytes(parsed) is blob
         assert parsed._verified
+
+    def test_parsing_short_bytes_keeps_them_as_the_frame(self):
+        blob = self.long_blob(4096)
+        assert fragment_to_bytes(fragment_from_bytes(blob)) is blob
 
     def test_short_payloads_are_copies(self):
         frag = rs_encode(bytes(range(256)) * 16, 8, 3)[9]
@@ -499,6 +519,18 @@ class TestWireFrames:
                 assert clone == original and clone._verified == original._verified
                 assert fragment_to_bytes(clone) == fragment_to_bytes(original)
 
+    def test_unverified_fragment_pickles_unverified(self):
+        import copy
+        import pickle
+
+        fragments = rs_encode(b"checked at decode" * 8, 2, 1, object_id=OID)
+        bad = dataclasses.replace(fragments[0], checksum=fragments[0].checksum ^ 1)
+        for clone in (pickle.loads(pickle.dumps(bad)), copy.deepcopy(bad)):
+            assert clone == bad and not clone._verified
+            with pytest.raises(ChecksumError) as info:
+                rs_decode([clone, fragments[1]])
+            assert info.value.index == 0
+
     def test_repr_leaves_the_payload_out(self):
         parsed = fragment_from_bytes(self.long_blob(gf256.PAIR_MIN_BYTES))
         text = repr(parsed)
@@ -567,8 +599,8 @@ class TestSplitCrc:
 
 
 class TestEquality:
-    """``==`` and ``hash`` compare every field but the frame, as the generated
-    dataclass methods do, whatever holds the payload."""
+    """``==`` and ``hash`` compare the frames, which state every field, so
+    they compare every field whatever held the payload."""
 
     @staticmethod
     def variants(payload):
@@ -600,7 +632,6 @@ class TestEquality:
             *self.variants(last),
             *(dataclasses.replace(f, checksum=checksum ^ 1) for f in base),
             *(dataclasses.replace(f, index=0) for f in base),
-            *(dataclasses.replace(f, scheme=ReplicationScheme(2)) for f in base),
             *(dataclasses.replace(f, object_id=bytes(16)) for f in base),
             *(dataclasses.replace(f, original_length=size - 1) for f in base),
         ]
@@ -613,6 +644,13 @@ class TestEquality:
         as_bytes = Fragment(OID, ErasureScheme(2, 1), 0, payload, 7)
         as_view = Fragment(OID, ErasureScheme(2, 1), 0, memoryview(payload), 7)
         assert as_bytes == as_view and hash(as_bytes) == hash(as_view)
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                             ids=["bytearray", "writable-memoryview"])
+    def test_mutable_payload_is_hashable(self, wrap):
+        frag = Fragment(OID, ErasureScheme(1, 1), 1, wrap(b"xy"), 2)
+        plain = Fragment(OID, ErasureScheme(1, 1), 1, b"xy", 2)
+        assert hash(frag) == hash(plain) and frag == plain
 
     def test_other_types_are_not_equal(self):
         frag = rs_fragment()

@@ -7,6 +7,8 @@ Within the codec, ``fragments`` imports the schemes at module level, so its
 only deferred import is the codec core that ``Fragment.role`` reads.  Code
 dispatches on a scheme's stated shape, not on its class: the one class check
 left is ``placement.ec_unavailability``'s documented refusal of all but RS.
+A fragment's wire frame is its one representation, and only ``fragments``
+reads it.
 """
 
 import ast
@@ -99,3 +101,13 @@ def scheme_class_checks(path, parts):
 def test_only_ec_unavailability_checks_a_scheme_class():
     found = set().union(*(scheme_class_checks(path, parts) for path, parts in modules()))
     assert found == {"durakit.placement.ec_unavailability"}
+
+
+def test_only_fragments_reads_a_fragment_frame():
+    readers = {
+        ".".join(parts)
+        for path, parts in modules()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_frame"
+    }
+    assert readers == {"durakit.codec.fragments"}
