@@ -64,7 +64,7 @@ class Fragment:
     frame alone.  ``scheme`` is the scheme the frame states, so k replicas
     are RS 1+(k-1), as they are encoded.
 
-    ``payload`` is ``bytes`` below ``gf256.PAIR_MIN_BYTES``, where a copy
+    ``payload`` is ``bytes`` below ``gf256.LONG_MIN_BYTES``, where a copy
     costs less than a view, and a read-only view into the frame from there
     up.  Either way it cannot change, so its CRC is checked once.
 
@@ -87,13 +87,15 @@ class Fragment:
         if len(self.object_id) != 16:
             raise ValueError(f"object_id must be 16 bytes, got {len(self.object_id)}")
         check_scheme(self.scheme)
-        _check_fields(ValueError, self.scheme, self.index, self.payload,
-                      self.original_length)
+        payload = self.payload
+        if not isinstance(payload, bytes):
+            payload = memoryview(payload).cast("B")  # any buffer, as its bytes
+        _check_fields(ValueError, self.scheme, self.index, payload, self.original_length)
         given = self.checksum
         (framed,) = Fragment._framed(
             self.object_id, _scheme_from_wire(*_scheme_wire_params(self.scheme)),
-            self.original_length, [(self.index, self.payload)],
-            [crc32(self.payload) if given is None else given],
+            self.original_length, [(self.index, payload)],
+            [crc32(payload) if given is None else given],
         )
         # the fields as the frame states them; a given checksum is checked
         # at first use
@@ -139,7 +141,7 @@ class Fragment:
             header = _HEADER.pack(MAGIC, FORMAT_VERSION, tag, p1, p2, index, 0,
                                   object_id, original_length, len(source))
             frame = b"".join((header, source, _TRAILER.pack(checksum)))
-            if len(source) >= gf256.PAIR_MIN_BYTES:
+            if len(source) >= gf256.LONG_MIN_BYTES:
                 payload = memoryview(frame)[_HEADER.size : -_TRAILER.size]
             elif isinstance(source, bytes):
                 payload = source
@@ -263,9 +265,9 @@ def crc32(data) -> int:
 
 
 def _check_crc(index, payload, checksum) -> None:
-    # below the pair path zlib is called directly: a short parse costs
+    # below the long path zlib is called directly: a short parse costs
     # about 3 us, and the call through ``crc32`` adds 0.3 us to it
-    if len(payload) < gf256.PAIR_MIN_BYTES:
+    if len(payload) < gf256.LONG_MIN_BYTES:
         actual = zlib.crc32(payload)
     else:
         actual = crc32(payload)
@@ -336,7 +338,7 @@ def _parse(frame: bytes, check: bool) -> Fragment:
     and, if ``check``, of the payload CRC; an unchecked payload is checked
     at its first decode.
 
-    The payload is ``bytes`` below ``gf256.PAIR_MIN_BYTES`` and a read-only
+    The payload is ``bytes`` below ``gf256.LONG_MIN_BYTES`` and a read-only
     view into ``frame`` from there up.
     """
     if len(frame) < _HEADER.size + _TRAILER.size:
@@ -363,7 +365,7 @@ def _parse(frame: bytes, check: bool) -> Fragment:
     _check_fields(MalformedFragmentError, scheme, index, payload_len, original_length)
     end = _HEADER.size + payload_len
     (stored_crc,) = _TRAILER.unpack_from(frame, end)
-    if payload_len >= gf256.PAIR_MIN_BYTES:
+    if payload_len >= gf256.LONG_MIN_BYTES:
         payload = memoryview(frame)[_HEADER.size : end]
     else:
         payload = frame[_HEADER.size : end]

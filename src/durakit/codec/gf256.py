@@ -2,10 +2,10 @@
 
 Tables are built once at import and never mutated, so everything here is
 safe to call concurrently.  Scalar helpers back the matrix algebra; bulk
-payload math goes through numpy gathers, in ``combine``, which applies a
-whole coefficient matrix to a set of equal-length sources:
+payload math goes through ``combine``, which applies a whole coefficient
+matrix to a set of equal-length sources:
 
-- Payloads shorter than ``PAIR_MIN_BYTES`` take a packed-lane gather, where
+- Payloads shorter than ``LONG_MIN_BYTES`` take a packed-lane gather, where
   per-call cost dominates.  ``lane_tables`` packs each group of up to
   ``LANES`` output rows into one uint32 table, whose entry j*256 + b holds
   matrix[i][j] * b in row i's own byte lane (the split-table idea of Plank,
@@ -15,18 +15,22 @@ whole coefficient matrix to a set of equal-length sources:
   for an encoder's fixed parity rows, once per code by the caller.  The
   gather works in fixed blocks of at most ``GATHER_ITEMS`` source bytes, so
   its index buffer stays bounded whatever the code's size.
-- Longer payloads are read as little-endian byte pairs, one output row at a
-  time.  Each coefficient of 2 or more in a row gets a 65,536-entry uint16
-  pair table, another split table, so one gather multiplies two bytes; an
-  odd last byte takes the byte table.  The tables take about 20 us each to
-  build and are dropped when the row is done; caching one per coefficient
-  costs more memory than it saves time.
+- Longer payloads use no table.  They are read as little-endian 64-bit
+  words, eight bytes at a time, and each output row is built by bit planes:
+  the sources whose coefficient has the row's top bit set, then the
+  accumulator doubled (``_double``: every byte multiplied by x at once,
+  after Anvin, "The mathematics of RAID-6", 2004), then the next plane's
+  sources, down to bit 0.  A row costs one doubling
+  per bit below its top one and one XOR per set coefficient bit, so a row
+  of 0s and 1s is XORs alone.  The bit-plane kernel makes about 70 numpy
+  calls per dense row, which is why short payloads keep the gather.
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
-  up to ``os.cpu_count()`` threads (numpy's gathers release the interpreter
-  lock).  Every output byte depends only on the same bytes of the sources,
-  so the result is identical at any thread count.  It is one of the
-  long-path passes that run on worker threads; the others, the object-id
-  hash and the CRC-32s beside it, are listed in ``durakit.parallel``.
+  up to ``os.cpu_count()`` threads (numpy's ufuncs release the interpreter
+  lock); every row of a stripe is made before the next stripe.  Every
+  output byte depends only on the same bytes of the sources, so the result
+  is identical at any thread count.  It is one of the long-path passes that
+  run on worker threads; the others, the object-id hash and the CRC-32s
+  beside it, are listed in ``durakit.parallel``.
 """
 
 from __future__ import annotations
@@ -96,25 +100,25 @@ def addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
         np.bitwise_xor(acc, MUL_TABLE[coeff][data], out=acc)
 
 
-#: Shortest payload that ``combine`` reads as byte pairs, in stripes.
-PAIR_MIN_BYTES = 64 * 1024
-#: Stripe length; even, so only the last stripe can end on an odd byte.
+#: Shortest payload that ``combine`` takes on its long path, the bit-plane
+#: kernel in stripes; from here up a fragment's payload is a view of its frame.
+LONG_MIN_BYTES = 64 * 1024
+#: Stripe length; a multiple of the word size, so only the last stripe can end
+#: inside a word.
 STRIPE_BYTES = 256 * 1024
-#: Source bytes per gather below ``PAIR_MIN_BYTES``: bounds the call's intp
+#: Source bytes per gather below ``LONG_MIN_BYTES``: bounds the call's intp
 #: index buffer at 1 MiB, while a 4 KiB object under RS 8+3, RS 10+4 or the
 #: LRC still takes one block.
 GATHER_ITEMS = 1 << 17
 #: Output rows packed into one uint32 lane-table entry.
 LANES = 4
 
-_PAIR = np.dtype("<u2")
 _LANE = np.dtype("<u4")
-
-
-def _pair_table(coeff: int) -> np.ndarray:
-    """coeff * (lo | hi << 8) for every byte pair, indexed by lo | hi << 8."""
-    row = MUL_TABLE[coeff].astype(_PAIR)
-    return ((row[:, None] << 8) | row[None, :]).ravel()
+_WORD = np.dtype("<u8")
+# each scalar operand of the doubling has its array's dtype, so numpy types
+# it alike with and without NEP 50's promotion rules
+_ZERO = np.int8(0)
+_REDUCE = np.uint8(POLY & 0xFF)
 
 
 def lane_tables(matrix) -> np.ndarray:
@@ -142,15 +146,10 @@ def combine(matrix, sources, lanes: np.ndarray | None = None) -> np.ndarray:
     caller that applies the same matrix again and again.
     """
     length = len(sources[0])
-    if length >= PAIR_MIN_BYTES:
-        out = np.zeros((len(matrix), length), dtype=np.uint8)
-        arrays = [np.frombuffer(source, dtype=np.uint8) for source in sources]
-        for coeffs, acc in zip(matrix, out):
-            _combine_pairs(coeffs, arrays, acc)
-        return out
-
     if not len(matrix):
         return np.empty((0, length), dtype=np.uint8)
+    if length >= LONG_MIN_BYTES:
+        return _combine_planes(matrix, sources, length)
     if lanes is None:
         lanes = lane_tables(matrix)
     out = np.empty((len(matrix), length), dtype=np.uint8)
@@ -171,39 +170,93 @@ def combine(matrix, sources, lanes: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _combine_pairs(coeffs, sources, acc: np.ndarray) -> None:
-    """acc ^= sum of coeffs[i] * sources[i], through pair tables, in stripes."""
-    length = len(acc)
-    terms = [(coeff, source) for coeff, source in zip(coeffs, sources) if coeff]
-    tables = {coeff: _pair_table(coeff) for coeff, _ in terms if coeff > 1}
+def _double(acc: np.ndarray, carry: np.ndarray) -> None:
+    """acc = 2 * acc in every byte of every word, in place; ``carry`` is scratch.
+
+    Each byte shifts left by one, and a byte whose top bit fell off takes
+    the low byte of the reduction polynomial (Anvin's xtime).  The byte-wide
+    steps run on byte views of the words: four passes, where the same on
+    whole words with shifts and masks takes six, and ``combine`` on RS rows
+    ran 12-22% slower.
+    """
+    flags = carry.view(np.uint8)
+    np.less(acc.view(np.int8), _ZERO, out=flags.view(np.bool_))  # top bit set
+    np.multiply(flags, _REDUCE, out=flags)
+    octets = acc.view(np.uint8)
+    np.add(octets, octets, out=octets)  # wraps: the top bit falls off
+    np.bitwise_xor(acc, carry, out=acc)
+
+
+def _planes(row) -> list[list[int]]:
+    """For each bit of ``row``'s coefficients, top bit first, the sources
+    whose coefficient has it set; no planes for an all-zero row."""
+    coeffs = [int(coeff) for coeff in row]  # a numpy row's scalars lack bit_length
+    top = max(coeffs, default=0).bit_length()
+    return [
+        [j for j, coeff in enumerate(coeffs) if coeff >> bit & 1]
+        for bit in range(top - 1, -1, -1)
+    ]
+
+
+def _combine_planes(matrix, sources, length: int) -> np.ndarray:
+    """``combine`` on 64-bit words: row i is the sum over bits b of 2**b times
+    the XOR of the sources whose coefficient has bit b set, by Horner's rule
+    from the top bit down, in stripes on worker threads."""
+    rows = [_planes(row) for row in matrix]
+    word = _WORD.itemsize
+    # whole words per row, so every row's stripe is word-aligned; the result
+    # is the first ``length`` columns
+    out = np.empty((len(rows), -(-length // word) * word), dtype=np.uint8)
+    words = out.view(_WORD)
+    arrays = [np.frombuffer(source, dtype=np.uint8) for source in sources]
+    # a stripe of a source that starts inside a word, or the last stripe when
+    # it ends inside one, is copied into scratch, which is faster to read;
+    # any other stripe is read in place.  Bytes never mix, so what the last
+    # word holds past the end reaches only the padding of the result.
+    unaligned = [array.ctypes.data % word != 0 for array in arrays]
     starts = range(0, length, STRIPE_BYTES)
     workers = worker_count(len(starts), len(starts))
 
     def run(job) -> None:
-        first, index, product = job
+        first, spare, scratch = job
         for start in starts[first::workers]:
             stop = min(start + STRIPE_BYTES, length)
-            even = stop - (stop - start) % 2
-            out = acc[start:stop]
-            pairs = acc[start:even].view(_PAIR)
-            n = len(pairs)
-            for coeff, source in terms:
-                if coeff == 1:
-                    np.bitwise_xor(out, source[start:stop], out=out)
+            size = -(-(stop - start) // word)
+            short = (stop - start) % word != 0
+            stripe = []
+            for array, offset, buffer in zip(arrays, unaligned, scratch):
+                part = array[start:stop]
+                if offset or short:
+                    buffer.view(np.uint8)[: len(part)] = part
+                    part = buffer[:size]
+                else:
+                    part = part.view(_WORD)
+                stripe.append(part)
+            carry = spare[:size]
+            column = start // word
+            for planes, acc in zip(rows, words[:, column : column + size]):
+                if not planes:
+                    acc.fill(0)
                     continue
-                # every uint16 indexes the table, so "clip" never fires; unlike
-                # the default mode it lets take write straight into ``product``
-                np.copyto(index[:n], source[start:even].view(_PAIR))
-                np.take(tables[coeff], index[:n], out=product[:n], mode="clip")
-                np.bitwise_xor(pairs, product[:n], out=pairs)
-                if even < stop:
-                    acc[even] ^= MUL_TABLE[coeff, source[even]]
+                np.copyto(acc, stripe[planes[0][0]])
+                for j in planes[0][1:]:
+                    np.bitwise_xor(acc, stripe[j], out=acc)
+                for plane in planes[1:]:
+                    _double(acc, carry)
+                    for j in plane:
+                        np.bitwise_xor(acc, stripe[j], out=acc)
 
-    # each worker gets its index and product buffers from here, so no stripe
-    # allocates; per-stripe temporaries made this loop up to twice as slow
-    half = STRIPE_BYTES // 2
-    jobs = [(w, np.empty(half, np.intp), np.empty(half, _PAIR)) for w in range(workers)]
+    # each worker's buffers are allocated here, on the calling thread: made
+    # on the workers, they come from per-thread arenas and raise peak memory
+    stripe_words = STRIPE_BYTES // word
+    jobs = [
+        (w, np.empty(stripe_words, _WORD),
+         [np.empty(stripe_words, _WORD) if offset or length % word else None
+          for offset in unaligned])
+        for w in range(workers)
+    ]
     map_chunks(run, jobs, threads=workers)
+    return out[:, :length]
 
 
 def row_reduce(rows, cols: int) -> list[list[int]]:

@@ -169,17 +169,18 @@ def shard_length(object_length: int, k: int) -> int:
 
 
 def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragment]:
-    """Split ``data`` into k zero-padded shards and add one fragment per parity row."""
+    """Split ``data``, any buffer read as its bytes, into k zero-padded shards
+    and add one fragment per parity row."""
     rows = code.rows
-    if not data:
+    view = memoryview(data).cast("B")
+    if not view:
         raise ValueError("cannot encode an empty object")
     if object_id is not None and len(object_id) != 16:
         raise ValueError(f"object_id must be 16 bytes, got {len(object_id)}")
 
-    k, length = code.k, len(data)
+    k, length = code.k, len(view)
     size = shard_length(length, k)
-    view = memoryview(data)
-    if size >= gf256.PAIR_MIN_BYTES:
+    if size >= gf256.LONG_MIN_BYTES:
         # each long fragment is written once, straight into its wire frame:
         # a data shard from the caller's buffer, read in place (so that can
         # change afterwards), and a parity row from ``combine``'s output, or
@@ -194,7 +195,7 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
         # makes the parity rows; the frames are joined here, from the
         # finished values, so nothing depends on the thread count
         with parallel.executor(parallel.worker_count(code.count, code.count)) as pool:
-            derived = pool.submit(derive_object_id, data) if object_id is None else None
+            derived = pool.submit(derive_object_id, view) if object_id is None else None
             # keyed by source: a source framed twice, as a replica's shard
             # is, shares one CRC
             crcs = {id(shard): pool.submit(zlib.crc32, shard) for shard in shards}
@@ -208,11 +209,11 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
                 object_id, code.scheme, length, enumerate(sources),
                 (crcs[id(source)].result() for source in sources),
             )
-    # below the pair path a copy costs less than a view, so short shards are
+    # below the long path a copy costs less than a view, so short shards are
     # copied out, and each fragment keeps its ``bytes`` payload beside its
     # frame; every field is checked above and every CRC is taken here
     if object_id is None:
-        object_id = derive_object_id(data)
+        object_id = derive_object_id(view)
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
@@ -227,7 +228,7 @@ def _combine(matrix, sources) -> Sequence:
     """The rows of ``gf256.combine(matrix, sources)``.  On the long path a unit
     row, a single 1 and no other nonzero, is its source itself: no field
     work and no copy, for a replica or a shard solved from one."""
-    if len(sources[0]) < gf256.PAIR_MIN_BYTES:
+    if len(sources[0]) < gf256.LONG_MIN_BYTES:
         return gf256.combine(matrix, sources)
     units = []
     for row in matrix:

@@ -1,13 +1,14 @@
 """Work spread over a bounded thread pool.
 
 Threads pay only where the work releases the interpreter lock, as numpy's
-sampling and gathers, ``zlib.crc32`` and ``hashlib`` do.  Every caller
+sampling and ufuncs, ``zlib.crc32`` and ``hashlib`` do.  Every caller
 splits its work so that no result depends on which thread ran which part,
 so its output is the same at any thread count:
 
 - the simulator draws each chunk of trials from that chunk's own stream;
-- ``gf256.combine``, on long payloads, computes every output byte from the
-  same bytes of its sources, whichever thread runs the stripe;
+- ``gf256.combine``, on long payloads, deals stripes to threads; each
+  thread makes every output row of its stripes, and every output byte comes
+  from the same bytes of the sources, whichever thread runs the stripe;
 - a long CRC-32 (``fragments.crc32``) is CRC'd in parts that are joined in
   order, which gives ``zlib.crc32`` of the whole;
 - a long encode (``linear.encode``) hashes the object id and CRCs each

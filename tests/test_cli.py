@@ -529,7 +529,7 @@ class TestCodecCommands:
         data, files = self.encode(runner, tmp_path, scheme=scheme, size=600_003)
         fragments = encode(code_of(parse_scheme(scheme)), data, None)
         # every shard takes the pair path, whose fragments keep their frames
-        assert min(f.payload_len for f in fragments) >= gf256.PAIR_MIN_BYTES
+        assert min(f.payload_len for f in fragments) >= gf256.LONG_MIN_BYTES
         assert [Path(path).read_bytes() for path in files] == [
             fragment_to_bytes(f) for f in fragments
         ]

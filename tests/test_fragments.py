@@ -1,3 +1,4 @@
+import array
 import dataclasses
 import random
 import struct
@@ -144,7 +145,7 @@ class TestChecksumOnce:
             rs_decode([fragments[0], bad, fragments[2]])
         assert info.value.index == 1
 
-    @pytest.mark.parametrize("size", [1_000, 8 * gf256.PAIR_MIN_BYTES],
+    @pytest.mark.parametrize("size", [1_000, 8 * gf256.LONG_MIN_BYTES],
                              ids=["short", "long"])
     def test_view_over_bytes_is_not_checked_again_at_decode(self, monkeypatch, size):
         data = random.Random(size).randbytes(size)
@@ -341,6 +342,13 @@ class TestFragmentType:
         with pytest.raises(ValueError):
             Fragment(OID, ErasureScheme(2, 1), 0, b"", 1)
 
+    def test_multi_byte_buffer_payload_is_read_as_its_bytes(self):
+        items = array.array("H", [1, 2])
+        frag = Fragment(OID, ErasureScheme(1, 1), 0, memoryview(items), 4)
+        assert frag.payload == items.tobytes() and frag.payload_len == 4
+        assert frag.checksum == zlib.crc32(items)
+        assert fragment_from_bytes(fragment_to_bytes(frag)) == frag
+
 
 class TestTrustedFraming:
     """Encode and parse skip ``Fragment``'s constructor but keep its contract."""
@@ -417,7 +425,7 @@ class TestWireFrames:
     copied out of it: encode keeps the frame it writes, and a parse keeps the
     bytes it was given."""
 
-    LONG = 4 * 1024 * 1024  # RS 8+3 shards of 512 KiB, past gf256.PAIR_MIN_BYTES
+    LONG = 4 * 1024 * 1024  # RS 8+3 shards of 512 KiB, past gf256.LONG_MIN_BYTES
 
     @staticmethod
     def long_blob(size=LONG):
@@ -532,7 +540,7 @@ class TestWireFrames:
             assert info.value.index == 0
 
     def test_repr_leaves_the_payload_out(self):
-        parsed = fragment_from_bytes(self.long_blob(gf256.PAIR_MIN_BYTES))
+        parsed = fragment_from_bytes(self.long_blob(gf256.LONG_MIN_BYTES))
         text = repr(parsed)
         assert "payload" not in text and "memory" not in text
         assert text == repr(dataclasses.replace(parsed, payload=bytes(parsed.payload)))
@@ -611,7 +619,7 @@ class TestEquality:
         parsed = fragment_from_bytes(fragment_to_bytes(encoded))
         return [encoded, parsed, Fragment(OID, scheme, 1, bytes(payload), len(payload))]
 
-    @pytest.mark.parametrize("size", [1_000, 3 * gf256.PAIR_MIN_BYTES + 1],
+    @pytest.mark.parametrize("size", [1_000, 3 * gf256.LONG_MIN_BYTES + 1],
                              ids=["short", "long"])
     def test_equal_fields_are_equal_and_hash_alike(self, size):
         payload = random.Random(size).randbytes(size)
@@ -621,7 +629,7 @@ class TestEquality:
                 assert a == b and hash(a) == hash(b)
                 assert not a != b
 
-    @pytest.mark.parametrize("size", [1_000, 3 * gf256.PAIR_MIN_BYTES + 1],
+    @pytest.mark.parametrize("size", [1_000, 3 * gf256.LONG_MIN_BYTES + 1],
                              ids=["short", "long"])
     def test_any_differing_field_is_unequal(self, size):
         payload = random.Random(size).randbytes(size)
@@ -640,7 +648,7 @@ class TestEquality:
                 assert a != b and b != a
 
     def test_bytes_payload_equals_a_view_of_the_same_bytes(self):
-        payload = random.Random(9).randbytes(3 * gf256.PAIR_MIN_BYTES)
+        payload = random.Random(9).randbytes(3 * gf256.LONG_MIN_BYTES)
         as_bytes = Fragment(OID, ErasureScheme(2, 1), 0, payload, 7)
         as_view = Fragment(OID, ErasureScheme(2, 1), 0, memoryview(payload), 7)
         assert as_bytes == as_view and hash(as_bytes) == hash(as_view)

@@ -82,7 +82,7 @@ class TestVectorHelpers:
 
 
 class TestCombine:
-    """``combine`` against the byte-table loop it replaces for long payloads."""
+    """``combine`` against the byte-table loop, on both sides of ``LONG_MIN_BYTES``."""
 
     LENGTHS = (1, 65535, 65536, 65537, 3 * 256 * 1024 + 1)
     COEFFS = (0, 1, 2, 255)
@@ -114,7 +114,7 @@ class TestCombine:
             alone = gf256.combine([[coeff]], [source])
             assert np.array_equal(alone, self.reference([coeff], [source])[None])
         stripes = -(-length // gf256.STRIPE_BYTES)
-        if cpus == 2 and length >= gf256.PAIR_MIN_BYTES and stripes > 1:
+        if cpus == 2 and length >= gf256.LONG_MIN_BYTES and stripes > 1:
             assert pools and set(pools) == {2}
         else:
             assert pools == []
@@ -181,6 +181,61 @@ class TestCombine:
         assert result.shape == (55, 65535)
         assert peak < 3 * result.nbytes
         assert np.array_equal(result[7], self.reference(matrix[7], sources))
+
+
+class TestBitPlanes:
+    """The long path, 64-bit words by bit planes, against the byte-table loop."""
+
+    reference = staticmethod(TestCombine.reference)
+
+    def check(self, matrix, sources):
+        result = gf256.combine(matrix, sources)
+        assert result.shape == (len(matrix), len(sources[0]))
+        for row, got in zip(matrix, result):
+            assert np.array_equal(got, self.reference(row, sources))
+
+    # the last word of the first stripe, or of a one-word tail past a stripe
+    # edge, is part padding
+    @pytest.mark.parametrize("tail", range(1, 8))
+    def test_lengths_that_end_inside_a_word(self, monkeypatch, tail):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        stripe = gf256.STRIPE_BYTES
+        rng = np.random.default_rng(tail)
+        for length in (gf256.LONG_MIN_BYTES + tail, stripe - 8 + tail, 2 * stripe + tail):
+            assert length % 8 == tail
+            sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(3)]
+            self.check([[3, 0, 255], [1, 1, 0], [128, 7, 1]], sources)
+
+    def test_sources_at_every_byte_offset(self):
+        length = gf256.STRIPE_BYTES + 3
+        stride = -(-length // 8) * 8 + 8
+        buffer = np.random.default_rng(8).integers(0, 256, 8 * stride, dtype=np.uint8)
+        assert buffer.ctypes.data % 8 == 0
+        view = memoryview(buffer)
+        sources = [view[j * stride + j : j * stride + j + length] for j in range(8)]
+        self.check([[j + 1 for j in range(8)], [255 - j for j in range(8)]], sources)
+
+    def test_one_row_with_every_coefficient(self):
+        rng = np.random.default_rng(256)
+        length = gf256.LONG_MIN_BYTES + 5
+        sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(256)]
+        self.check([list(range(256))], sources)
+
+    def test_rows_of_zeros_and_ones(self):
+        rng = np.random.default_rng(2)
+        sources = [rng.integers(0, 256, gf256.STRIPE_BYTES + 9, dtype=np.uint8)
+                   for _ in range(4)]
+        self.check([[1, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 0]], sources)
+        assert not gf256.combine([[0, 0, 0, 0]], sources).any()
+
+    def test_read_only_numpy_matrix(self):
+        rng = np.random.default_rng(3)
+        matrix = rng.integers(0, 256, (3, 5), dtype=np.uint8)
+        matrix[0, 0] = 0x80
+        matrix.setflags(write=False)
+        sources = [rng.integers(0, 256, gf256.LONG_MIN_BYTES, dtype=np.uint8)
+                   for _ in range(5)]
+        self.check(matrix, sources)
 
 
 class TestMatrixAlgebra:

@@ -247,7 +247,7 @@ class TestUnitRows:
 
     def test_replicas_cost_no_field_work_and_one_crc(self, combined_rows, monkeypatch):
         code = code_of(ReplicationScheme(3))
-        data = random.Random(5).randbytes(gf256.PAIR_MIN_BYTES + 1)
+        data = random.Random(5).randbytes(gf256.LONG_MIN_BYTES + 1)
         crcs = []
         real_crc = zlib.crc32
 
@@ -263,7 +263,7 @@ class TestUnitRows:
 
     def test_a_shard_solved_from_one_replica_is_its_payload(self, combined_rows):
         code = code_of(ReplicationScheme(3))
-        data = random.Random(6).randbytes(gf256.PAIR_MIN_BYTES + 1)
+        data = random.Random(6).randbytes(gf256.LONG_MIN_BYTES + 1)
         parsed = [fragment_from_bytes(fragment_to_bytes(f))
                   for f in encode(code, data, None)]
         assert solve(code, parsed[2:]) == (data, (2,))
@@ -271,7 +271,7 @@ class TestUnitRows:
 
     def test_other_rows_still_combine(self, combined_rows):
         code = code_of(ErasureScheme(4, 2))
-        data = random.Random(7).randbytes(4 * gf256.PAIR_MIN_BYTES)
+        data = random.Random(7).randbytes(4 * gf256.LONG_MIN_BYTES)
         fragments = encode(code, data, None)
         assert combined_rows == [list(row) for row in code.rows[4:]]
         assert solve(code, fragments[2:])[0] == data

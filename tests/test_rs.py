@@ -1,3 +1,4 @@
+import array
 import random
 from itertools import combinations
 
@@ -59,6 +60,15 @@ class TestEncodeShape:
         oid = bytes(16)
         fragments = rs_encode(b"x", 1, 1, object_id=oid)
         assert fragments[0].object_id == oid
+
+    # 300 items take the short path; 300,000 make 75,000-byte shards
+    @pytest.mark.parametrize("count", [300, 300_000])
+    def test_multi_byte_buffer_is_encoded_as_its_bytes(self, count):
+        items = array.array("H", (i % 65536 for i in range(count)))
+        fragments = rs_encode(memoryview(items), 8, 3)
+        assert fragments[0].original_length == 2 * count
+        assert fragments == rs_encode(items.tobytes(), 8, 3)
+        assert rs_decode(fragments[3:]) == items.tobytes()
 
     def test_rejects_empty_object(self):
         with pytest.raises(ValueError, match="empty"):
