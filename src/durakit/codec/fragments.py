@@ -29,7 +29,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import ChecksumError, MalformedFragmentError
-from ..parallel import map_chunks, worker_count
 from ..probability import LRC_6_2_2, ErasureScheme, check_scheme
 from . import gf256
 
@@ -95,7 +94,7 @@ class Fragment:
         (framed,) = Fragment._framed(
             self.object_id, _scheme_from_wire(*_scheme_wire_params(self.scheme)),
             self.original_length, [(self.index, payload)],
-            [crc32(payload) if given is None else given],
+            [zlib.crc32(payload) if given is None else given],
         )
         # the fields as the frame states them; a given checksum is checked
         # at first use
@@ -197,80 +196,8 @@ class Fragment:
             self.__dict__["_verified"] = True
 
 
-#: Shortest part of a CRC-32 that ``crc32`` hands to a worker thread.  On a
-#: 2-vCPU Xeon guest (Python 3.11, zlib 1.2.13), two parts took 1.0-1.5
-#: times as long as one ``zlib.crc32`` over 8 MiB, 0.7-1.0 times over 16 MiB
-#: and 0.6-0.8 times over 64 MiB: a thread pool costs about 0.4 ms, and two
-#: threads gain most on buffers that do not sit in cache.
-CRC_PART_BYTES = 8 << 20
-
-_CRC_POLY = 0xEDB88320  # CRC-32's polynomial, bit-reversed as zlib keeps it
-
-
-def _multmodp(a: int, b: int) -> int:
-    """a * b modulo the CRC-32 polynomial, both bit-reversed (zlib's multmodp)."""
-    product, bit = 0, 1 << 31
-    while a:
-        if a & bit:
-            product ^= b
-            a ^= bit
-        bit >>= 1
-        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
-    return product
-
-
-# x^(2^n) modulo the polynomial, for n = 0..31 (zlib's x2n_table)
-_X2N = [1 << 30]
-for _ in range(31):
-    _X2N.append(_multmodp(_X2N[-1], _X2N[-1]))
-
-
-def crc32_combine(crc1: int, crc2: int, length2: int) -> int:
-    """``zlib.crc32(a + b)`` from ``crc1 = zlib.crc32(a)``, ``crc2 = zlib.crc32(b)``
-    and ``length2 = len(b)``, by zlib's method: shift ``crc1`` past ``b``'s
-    8 * length2 bits by multiplying it by x^(8 * length2), one power of two
-    at a time, and add ``crc2``."""
-    shift, n = 1 << 31, 3  # x^0; 8 * length2 = 2^3 * length2
-    while length2:
-        if length2 & 1:
-            shift = _multmodp(_X2N[n & 31], shift)
-        length2 >>= 1
-        n += 1
-    return _multmodp(shift, crc1) ^ crc2
-
-
-def crc32(data) -> int:
-    """``zlib.crc32(data)``, of a buffer of bytes.
-
-    A long buffer is cut into one part per CPU, none shorter than
-    ``CRC_PART_BYTES``.  The parts are CRC'd on worker threads (zlib releases
-    the interpreter lock) and joined in order by ``crc32_combine``, so the
-    result is the same for any number of parts.  One part is one
-    ``zlib.crc32`` call.
-    """
-    if len(data) < 2 * CRC_PART_BYTES:
-        # one part, without asking for the CPU count: that alone costs about
-        # 4 us, eight times a short CRC
-        return zlib.crc32(data)
-    view = memoryview(data).cast("B")
-    wanted = len(view) // CRC_PART_BYTES
-    parts = worker_count(wanted, wanted)
-    bounds = [len(view) * part // parts for part in range(parts + 1)]
-    spans = list(zip(bounds, bounds[1:]))
-    crcs = map_chunks(lambda span: zlib.crc32(view[span[0] : span[1]]), spans, parts)
-    crc = crcs[0]
-    for (start, stop), part in zip(spans[1:], crcs[1:]):
-        crc = crc32_combine(crc, part, stop - start)
-    return crc
-
-
 def _check_crc(index, payload, checksum) -> None:
-    # below the long path zlib is called directly: a short parse costs
-    # about 3 us, and the call through ``crc32`` adds 0.3 us to it
-    if len(payload) < gf256.LONG_MIN_BYTES:
-        actual = zlib.crc32(payload)
-    else:
-        actual = crc32(payload)
+    actual = zlib.crc32(payload)
     if actual != checksum:
         raise ChecksumError(
             f"fragment {index}: payload CRC {actual:#010x} does not "

@@ -9,8 +9,6 @@ so its output is the same at any thread count:
 - ``gf256.combine``, on long payloads, deals stripes to threads; each
   thread makes every output row of its stripes, and every output byte comes
   from the same bytes of the sources, whichever thread runs the stripe;
-- a long CRC-32 (``fragments.crc32``) is CRC'd in parts that are joined in
-  order, which gives ``zlib.crc32`` of the whole;
 - a long encode (``linear.encode``) hashes the object id and CRCs each
   fragment on worker threads while ``combine`` makes the parity rows, and
   frames every fragment on the calling thread from those finished values.

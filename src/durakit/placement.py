@@ -15,8 +15,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .probability import (DiskFailureModel, ErasureScheme, _check_prob, binomial_tail,
-                          check_scheme)
+from .probability import DiskFailureModel, _check_prob, binomial_tail, check_scheme
 
 
 @dataclass(frozen=True, init=False)
@@ -125,16 +124,11 @@ def ec_unavailability(
 ) -> float:
     """Probability fewer than m fragments are reachable, exact over DC outage states.
 
-    Conditional on how many fragments sit in up DCs, each of them is
-    independently unavailable with p_unavail, so the reachable count is
-    binomial.  Co-locating fragments can only raise this number relative to
-    the uncorrelated m+n tail.
+    The same fold as ``placement_unavailability``: a replication placement
+    is answered as RS 1+(k-1), and a code that is not MDS raises
+    ``TypeError``.  Co-locating fragments can only raise this number
+    relative to the uncorrelated m+n tail.
     """
-    if not isinstance(placement.scheme, ErasureScheme):
-        raise TypeError(
-            f"ec_unavailability needs an ErasureScheme placement, got "
-            f"{type(placement.scheme).__name__}"
-        )
     return placement_unavailability(model, topology, placement)
 
 

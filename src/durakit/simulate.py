@@ -238,8 +238,8 @@ def simulate_availability(
     them are reachable: none when the DC is out, else each fragment is up
     with probability 1 - p_unavail.  The event is fewer than m reachable in
     total (one reachable replica for replication placements).  Converges to
-    placement_unavailability, and to ec_unavailability /
-    replication_unavailability for the layouts those cover.
+    placement_unavailability, and to replication_unavailability for one
+    replica per DC.
     """
     _check_run_params(trials, seed, threads, len(placement.assignment))
     # raises TypeError for any scheme that is not an MDS code, and ValueError

@@ -10,15 +10,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from durakit import parallel
-from durakit.codec import fragments, gf256, lrc
+from durakit.codec import gf256, lrc
 from durakit.codec.fragments import (
-    CRC_PART_BYTES,
     LRC_GROUP_DESCRIPTOR,
     MAGIC,
     Fragment,
     FragmentRole,
-    crc32,
-    crc32_combine,
     fragment_from_bytes,
     fragment_to_bytes,
     read_fragment,
@@ -547,50 +544,30 @@ class TestWireFrames:
 
 
 class TestSplitCrc:
-    """A long CRC-32 is CRC'd in parts and joined: the same as zlib's, always."""
+    """A long payload's CRC-32 is one ``zlib.crc32`` call over the whole
+    payload, on the calling thread, and a flipped byte anywhere in it is
+    caught."""
 
-    #: a part size that keeps split buffers small; ``crc32`` reads it per call
-    PART = 64 * 1024
+    def test_long_parse_is_one_crc_call_and_no_pool(self, monkeypatch):
+        pools = []
 
-    @pytest.fixture
-    def small_parts(self, monkeypatch):
-        monkeypatch.setattr(fragments, "CRC_PART_BYTES", self.PART)
+        class RecordingPool(parallel.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        long = (16 << 20) + 1
+        blob = fragment_to_bytes(Fragment(OID, ErasureScheme(1, 2), 1, bytes(long), long))
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-
-    def test_combine_matches_zlib_over_random_splits(self):
-        rng = random.Random(7)
-        for length in (0, 1, 2, 3, 255, 4097, 65_537, 1_000_003):
-            data = rng.randbytes(length)
-            for cut in {0, length, *(rng.randrange(length + 1) for _ in range(4))}:
-                head, tail = data[:cut], memoryview(data)[cut:]
-                joined = crc32_combine(zlib.crc32(head), zlib.crc32(tail), len(tail))
-                assert joined == zlib.crc32(data), (length, cut)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("part", [PART, CRC_PART_BYTES], ids=["small", "real"])
-    def test_split_matches_zlib(self, monkeypatch, cpus, part):
-        monkeypatch.setattr(fragments, "CRC_PART_BYTES", part)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-        rng = random.Random(cpus)
-        # on both sides of the two-part threshold, odd lengths and three parts
-        for length in (0, 1, 2 * part - 1, 2 * part, 2 * part + 1, 3 * part + 3):
-            data = rng.randbytes(length)
-            for buffer in (data, memoryview(data), bytearray(data)):
-                assert crc32(buffer) == zlib.crc32(data), (length, type(buffer))
-        # a view over part of a larger buffer, as a parsed payload is
-        framed = rng.randbytes(2 * part + 61)
-        assert crc32(memoryview(framed)[42:-4]) == zlib.crc32(framed[42:-4])
-
-    def test_long_buffers_are_split_short_ones_are_not(self, monkeypatch, small_parts):
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
         calls = TestChecksumOnce.count_crcs(monkeypatch)
-        crc32(bytes(2 * self.PART - 1))
-        assert len(calls) == 1
-        crc32(bytes(2 * self.PART + 1))
-        assert sorted(calls[1:]) == [self.PART, self.PART + 1]
+        assert fragment_from_bytes(blob).payload_len == long
+        assert calls == [long] and pools == []
 
     @pytest.mark.parametrize("where", [0.1, 0.9], ids=["first-part", "second-part"])
-    def test_flipped_byte_in_either_part_raises(self, small_parts, where):
-        data = random.Random(8).randbytes(2 * (2 * self.PART + 1))
+    def test_flipped_byte_in_either_part_raises(self, where):
+        # a byte near the start or near the end of a long payload
+        data = random.Random(8).randbytes(2 * (2 * gf256.LONG_MIN_BYTES + 1))
         frag = rs_encode(data, 2, 1, object_id=OID)[1]
         blob = fragment_to_bytes(frag)
         start = len(blob) - 4 - frag.payload_len

@@ -5,8 +5,8 @@ scheme's own shape and never imports the codec; only the codec itself, the
 CLI and the package's public re-exports in ``durakit/__init__.py`` do.
 Within the codec, ``fragments`` imports the schemes at module level, so its
 only deferred import is the codec core that ``Fragment.role`` reads.  Code
-dispatches on a scheme's stated shape, not on its class: the one class check
-left is ``placement.ec_unavailability``'s documented refusal of all but RS.
+dispatches on a scheme's stated shape, not on its class: no code in ``src/``
+checks a scheme's class.
 A fragment's wire frame is its one representation, and only ``fragments``
 reads it.
 """
@@ -98,9 +98,9 @@ def scheme_class_checks(path, parts):
     return found
 
 
-def test_only_ec_unavailability_checks_a_scheme_class():
+def test_no_scheme_class_checks():
     found = set().union(*(scheme_class_checks(path, parts) for path, parts in modules()))
-    assert found == {"durakit.placement.ec_unavailability"}
+    assert found == set()
 
 
 def test_only_fragments_reads_a_fragment_frame():

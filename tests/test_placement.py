@@ -13,6 +13,7 @@ from durakit.placement import (
 )
 from durakit.probability import (
     DiskFailureModel,
+    LRC_6_2_2,
     ErasureScheme,
     ReplicationScheme,
     binomial_tail,
@@ -226,12 +227,16 @@ class TestEcUnavailability:
         with pytest.raises(ValueError, match="outside topology"):
             ec_unavailability(model, Topology(2, 0.01), placement)
 
-    def test_requires_erasure_scheme(self):
+    def test_replication_folds_and_lrc_is_refused(self):
+        # a replication placement is RS 1+(k-1) to the fold; the LRC is not MDS
         model = DiskFailureModel(0.001)
         topo = Topology(3, 0.01)
-        placement = balanced_placement(ReplicationScheme(3), topo)
-        with pytest.raises(TypeError):
-            ec_unavailability(model, topo, placement)
+        placement = Placement(ReplicationScheme(3), (0, 0, 1))
+        assert ec_unavailability(model, topo, placement) == placement_unavailability(
+            model, topo, placement
+        )
+        with pytest.raises(TypeError, match="MDS"):
+            ec_unavailability(model, topo, balanced_placement(LRC_6_2_2, topo))
 
 
 class TestPlacementType:

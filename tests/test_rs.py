@@ -230,18 +230,13 @@ class TestDecodeValidation:
 
 
 class TestThreadCountIdentity:
-    # four full stripes and a one-byte tail, CRC'd in two parts of at least
-    # PART bytes, so every long-path job is split whenever there is a
-    # second CPU
-    PART = 2 * gf256.STRIPE_BYTES
-    SHARD = 2 * PART + 1
+    # four full stripes and a one-byte tail, so the long-path combine is
+    # split whenever there is a second CPU
+    SHARD = 4 * gf256.STRIPE_BYTES + 1
 
     @pytest.mark.parametrize("kind", ["rs:8+3", "lrc:6+2+2", "rep:3"])
     def test_fragments_and_decodes_same_at_any_cpu_count(self, kind, monkeypatch):
         from durakit import parallel
-        from durakit.codec import fragments
-
-        monkeypatch.setattr(fragments, "CRC_PART_BYTES", self.PART)
         from durakit.codec.linear import code_of, encode, solve
         from durakit.probability import LRC_6_2_2, ErasureScheme, ReplicationScheme
 
