@@ -12,8 +12,8 @@ from durakit.placement import (
     replication_unavailability,
 )
 from durakit.probability import (
-    DiskFailureModel,
     LRC_6_2_2,
+    DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
     binomial_tail,
@@ -234,6 +234,10 @@ class TestEcUnavailability:
         placement = Placement(ReplicationScheme(3), (0, 0, 1))
         assert ec_unavailability(model, topo, placement) == placement_unavailability(
             model, topo, placement
+        )
+        one_per_dc = balanced_placement(ReplicationScheme(3), topo)
+        assert ec_unavailability(model, topo, one_per_dc) == pytest.approx(
+            replication_unavailability(model, topo, 3), rel=1e-12
         )
         with pytest.raises(TypeError, match="MDS"):
             ec_unavailability(model, topo, balanced_placement(LRC_6_2_2, topo))
