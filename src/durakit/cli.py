@@ -408,6 +408,8 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
     elif scenario == "availability":
         if dcs is None:
             raise click.UsageError("availability scenario needs --dcs")
+        if replicas is not None and (m is not None or n is not None):
+            raise click.UsageError("--replicas conflicts with --m and --n")
         if replicas is not None:
             scheme = _bounded(ReplicationScheme(replicas))
         elif m is not None and n is not None:
@@ -427,11 +429,9 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
         if latencies is None or p is None:
             raise click.UsageError("latency scenario needs --latencies and --p")
         profile = _parse_latencies(latencies)
-        ec = None
-        if m is not None:
-            if n is None:
-                raise click.UsageError("EC latency needs both --m and --n")
-            ec = ErasureScheme(m, n)
+        if (m is None) != (n is None):
+            raise click.UsageError("EC latency needs both --m and --n")
+        ec = None if m is None else ErasureScheme(m, n)
         result = simulate_latency(profile, p, trials, seed=settings.seed,
                                   threads=settings.threads, ec=ec)
         payload.update({"p": p, "latencies": list(profile.latencies),

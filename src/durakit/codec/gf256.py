@@ -25,12 +25,10 @@ matrix to a set of equal-length sources:
   of 0s and 1s is XORs alone.  The bit-plane kernel makes about 70 numpy
   calls per dense row, which is why short payloads keep the gather.
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
-  up to ``os.cpu_count()`` threads (numpy's ufuncs release the interpreter
-  lock); every row of a stripe is made before the next stripe.  Every
-  output byte depends only on the same bytes of the sources, so the result
-  is identical at any thread count.  It is one of the long-path passes that
-  run on worker threads; the others, the object-id hash and the CRC-32s
-  beside it, are listed in ``durakit.parallel``.
+  the threads of ``durakit.parallel``'s pool (numpy's ufuncs release the
+  interpreter lock); every row of a stripe is made before the next stripe.
+  Every output byte depends only on the same bytes of the sources, so the
+  result is identical at any thread count.
 """
 
 from __future__ import annotations
@@ -255,7 +253,7 @@ def _combine_planes(matrix, sources, length: int) -> np.ndarray:
           for offset in unaligned])
         for w in range(workers)
     ]
-    map_chunks(run, jobs, threads=workers)
+    map_chunks(run, jobs)
     return out[:, :length]
 
 

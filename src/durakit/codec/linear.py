@@ -191,24 +191,19 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
             shard if len(shard) == size else b"".join((shard, bytes(size - len(shard))))
             for shard in shards
         ]
-        # the object id and every CRC run on worker threads while ``combine``
-        # makes the parity rows; the frames are joined here, from the
-        # finished values, so nothing depends on the thread count
-        with parallel.executor(parallel.worker_count(code.count, code.count)) as pool:
-            derived = pool.submit(derive_object_id, view) if object_id is None else None
-            # keyed by source: a source framed twice, as a replica's shard
-            # is, shares one CRC
-            crcs = {id(shard): pool.submit(zlib.crc32, shard) for shard in shards}
-            sources = [*shards, *_combine(rows[k:], shards)]
-            for source in sources[k:]:
-                if id(source) not in crcs:
-                    crcs[id(source)] = pool.submit(zlib.crc32, source)
-            if derived is not None:
-                object_id = derived.result()
-            return Fragment._framed(
-                object_id, code.scheme, length, enumerate(sources),
-                (crcs[id(source)].result() for source in sources),
-            )
+        # the object id and CRCs run on the pool beside ``combine``; frames are
+        # joined here from the finished values, so no byte depends on threads
+        derived = parallel.submit(derive_object_id, view) if object_id is None else None
+        # keyed by source: a source framed twice, as a replica's shard is, shares one CRC
+        crcs = {id(shard): parallel.submit(zlib.crc32, shard) for shard in shards}
+        sources = [*shards, *_combine(rows[k:], shards)]
+        for source in sources[k:]:
+            if id(source) not in crcs:
+                crcs[id(source)] = parallel.submit(zlib.crc32, source)
+        return Fragment._framed(
+            object_id or derived.result(), code.scheme, length, enumerate(sources),
+            (crcs[id(source)].result() for source in sources),
+        )
     # below the long path a copy costs less than a view, so short shards are
     # copied out, and each fragment keeps its ``bytes`` payload beside its
     # frame; every field is checked above and every CRC is taken here

@@ -87,9 +87,9 @@ def _check_run_params(trials: int, seed: int, threads: int, counts: int) -> None
 def _sample(trials: int, seed: int, threads: int, draw) -> list:
     """``draw(rng, size)`` for every chunk, each on its own Philox stream.
 
-    Chunk indices are dealt round-robin to the workers, so the pool gets one
-    work item per worker.  Partials come back worker by worker, not in chunk
-    order; callers reduce them exactly.
+    Chunk indices are dealt round-robin to the workers, one pool job each, so
+    ``threads`` caps the jobs in flight.  Partials come back worker by worker,
+    not in chunk order; callers reduce them exactly.
     """
     chunks = -(-trials // CHUNK_TRIALS)
     workers = worker_count(threads, chunks)
@@ -102,7 +102,7 @@ def _sample(trials: int, seed: int, threads: int, draw) -> list:
             parts.append(draw(rng, min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)))
         return parts
 
-    return [part for parts in map_chunks(run, range(workers), workers) for part in parts]
+    return [part for parts in map_chunks(run, range(workers)) for part in parts]
 
 
 def _binomial_pmf(total: int, p: float) -> np.ndarray:

@@ -414,6 +414,10 @@ class TestSimulateCommand:
         (["--scenario", "latency", "--latencies", "1,100"], "needs --latencies and --p"),
         (["--scenario", "latency", "--p", "0.01", "--latencies", "1,100", "--m", "4"],
          "needs both --m and --n"),
+        (["--scenario", "latency", "--p", "0.01", "--latencies", "1,100", "--n", "3"],
+         "needs both --m and --n"),
+        (["--scenario", "availability", "--dcs", "3", "--replicas", "3", "--m", "8",
+          "--n", "3"], "--replicas conflicts with --m and --n"),
     ])
     def test_incomplete_scenario_is_usage_error(self, runner, args, message):
         result = runner.invoke(main, ["simulate", *args])

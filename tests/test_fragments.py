@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from durakit import parallel
 from durakit.codec import gf256, lrc
 from durakit.codec.fragments import (
     LRC_GROUP_DESCRIPTOR,
@@ -548,21 +547,13 @@ class TestSplitCrc:
     payload, on the calling thread, and a flipped byte anywhere in it is
     caught."""
 
-    def test_long_parse_is_one_crc_call_and_no_pool(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(parallel.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
+    def test_long_parse_is_one_crc_call_and_no_pool(self, monkeypatch, pools):
         long = (16 << 20) + 1
         blob = fragment_to_bytes(Fragment(OID, ErasureScheme(1, 2), 1, bytes(long), long))
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+        pools.reset(2)
         calls = TestChecksumOnce.count_crcs(monkeypatch)
         assert fragment_from_bytes(blob).payload_len == long
-        assert calls == [long] and pools == []
+        assert calls == [long] and pools.sizes == []
 
     @pytest.mark.parametrize("where", [0.1, 0.9], ids=["first-part", "second-part"])
     def test_flipped_byte_in_either_part_raises(self, where):

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from durakit import parallel
 from durakit.codec import gf256
 from durakit.codec.rs import parity_matrix
 
@@ -96,16 +95,8 @@ class TestCombine:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("length", LENGTHS)
-    def test_matches_byte_table_loop(self, monkeypatch, length, cpus):
-        pools = []
-
-        class RecordingPool(parallel.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    def test_matches_byte_table_loop(self, pools, length, cpus):
+        pools.reset(cpus)
         rng = np.random.default_rng(length)
         sources = [rng.integers(0, 256, length, dtype=np.uint8) for _ in self.COEFFS]
         expected = self.reference(self.COEFFS, sources)
@@ -115,9 +106,10 @@ class TestCombine:
             assert np.array_equal(alone, self.reference([coeff], [source])[None])
         stripes = -(-length // gf256.STRIPE_BYTES)
         if cpus == 2 and length >= gf256.LONG_MIN_BYTES and stripes > 1:
-            assert pools and set(pools) == {2}
+            assert pools.sizes == [2]
+            assert len(pools.started[0].jobs) == 2 * (1 + len(self.COEFFS))
         else:
-            assert pools == []
+            assert pools.sizes == []
 
     # 512 is the RS 8+3 shard of a 4 KiB object; 65,535 takes several blocks
     @pytest.mark.parametrize("length", (1, 511, 512, 4096, 65535))
@@ -197,8 +189,8 @@ class TestBitPlanes:
     # the last word of the first stripe, or of a one-word tail past a stripe
     # edge, is part padding
     @pytest.mark.parametrize("tail", range(1, 8))
-    def test_lengths_that_end_inside_a_word(self, monkeypatch, tail):
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    def test_lengths_that_end_inside_a_word(self, pools, tail):
+        pools.reset(2)
         stripe = gf256.STRIPE_BYTES
         rng = np.random.default_rng(tail)
         for length in (gf256.LONG_MIN_BYTES + tail, stripe - 8 + tail, 2 * stripe + tail):

@@ -235,8 +235,7 @@ class TestThreadCountIdentity:
     SHARD = 4 * gf256.STRIPE_BYTES + 1
 
     @pytest.mark.parametrize("kind", ["rs:8+3", "lrc:6+2+2", "rep:3"])
-    def test_fragments_and_decodes_same_at_any_cpu_count(self, kind, monkeypatch):
-        from durakit import parallel
+    def test_fragments_and_decodes_same_at_any_cpu_count(self, kind, pools):
         from durakit.codec.linear import code_of, encode, solve
         from durakit.probability import LRC_6_2_2, ErasureScheme, ReplicationScheme
 
@@ -254,13 +253,16 @@ class TestThreadCountIdentity:
                       if i not in lost]
             return fragments, frames, solve(code, parsed)
 
-        runs = []
+        runs, started = [], []
         for cpus in (1, 2, None):
-            with monkeypatch.context() as patch:
-                if cpus is not None:
-                    patch.setattr(parallel.os, "cpu_count", lambda: cpus)
-                runs.append(run())
+            pools.reset(cpus)
+            runs.append(run())
+            started.append(pools.sizes)
         fragments, frames, (decoded, used) = runs[0]
         assert fragments[0].payload_len == self.SHARD
         assert decoded == data and not set(used) & lost
         assert all(other == runs[0] for other in runs[1:])
+        # one CPU runs inline; then a pool of 2 threads, then the machine's
+        machine = [pools.machine] if pools.machine > 1 else []
+        assert started == [[], [2], [2, *machine]]
+        assert all(pool.jobs for pool in pools.started)

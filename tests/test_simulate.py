@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from durakit import latency, parallel, simulate
+from durakit import latency, simulate
 from durakit.errors import RareEventError
 from durakit.latency import LatencyProfile, expected_latency_replication
 from durakit.parallel import worker_count
@@ -60,12 +60,12 @@ class TestDeterminism:
         b = simulate_loss(0.1, 2, 1, 100_000, seed=2)
         assert a.events != b.events
 
-    def test_worker_count_clamped_to_chunks_and_cpus(self):
-        cpus = os.cpu_count() or 1
+    def test_worker_count_clamped_to_chunks_and_cpus(self, pools):
+        pools.reset(3)
         assert worker_count(1, 100) == 1
-        assert worker_count(10**9, 3) == min(3, cpus)
-        assert worker_count(10**9, 10**9) == cpus
-        assert worker_count(2, 10**9) == min(2, cpus)
+        assert worker_count(10**9, 2) == 2
+        assert worker_count(10**9, 10**9) == 3
+        assert worker_count(2, 10**9) == 2
 
     def test_partial_final_chunk(self):
         # trials deliberately not a multiple of the chunk size
@@ -299,19 +299,11 @@ class TestEngine:
         for threads in (2, os.cpu_count() or 1):
             assert SCENARIOS[name](trials, 11, threads) == base
 
-    def test_one_work_item_per_worker(self, monkeypatch):
-        submitted = []
-
-        class RecordingPool(parallel.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    def test_one_work_item_per_worker(self, pools):
+        pools.reset(2)
         trials = 20 * simulate.CHUNK_TRIALS + 1  # 21 chunks
         result = simulate_loss(0.2, 2, 1, trials, seed=1, threads=2)
-        assert 1 <= len(submitted) <= 2
+        assert pools.sizes == [2] and pools.started[0].jobs == [(0,), (1,)]
         assert result == simulate_loss(0.2, 2, 1, trials, seed=1, threads=1)
 
     @pytest.mark.parametrize("name", SCENARIOS)
