@@ -4,12 +4,18 @@ Each trial samples the steady state: the per-disk probabilities already fold
 failure and replacement rates into one number, so there is no time axis.
 Every scenario turns on a count, not on which disks are down: the failed
 fragments of a stripe, the first available site, the reachable fragments of
-each data center.  So a trial draws that count directly, one uniform per
-count mapped through the inverse CDF of a table of its probabilities.  Each
-run builds its tables from the model's per-count pmf (binomial ones in log
-space), sharing no code with the analytic formulas the result is compared
-against.  A count of probability zero owns an empty interval and is never
-drawn; one below 2**-53 may not be drawn either.
+each data center.  So a trial draws that count directly from one uniform u
+and the edges of a table of the count's probabilities, its cdf: the count is
+the number of edges at or below u (inversion by sequential search, Devroye,
+"Non-Uniform Random Variate Generation", 1986, ch. III.2).  A table of at
+most ``MAX_COMPARE_EDGES`` edges counts them by compare-and-add, one
+whole-chunk comparison per edge; a larger one by binary search.  The loss
+scenario needs no count at all: more than n failures is u at or above the
+n-th edge, one comparison.  All three give the same counts for the same
+uniforms.  Each run builds its tables from the model's per-count pmf
+(binomial ones in log space), sharing no code with the analytic formulas the
+result is compared against.  A count of probability zero owns an empty
+interval and is never drawn; one below 2**-53 may not be drawn either.
 
 Determinism contract: identical (seed, trials, scenario parameters) produce
 identical results under any thread count.  Trials are processed in fixed
@@ -24,6 +30,7 @@ value of each count over a mean estimator.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,15 @@ MIN_EXPECTED_EVENTS = 10
 #: Largest count a table ranges over, fragments or sites: 8 MiB per table.
 #: Larger schemes end in a usage error, not a huge allocation.
 MAX_TABLE_COUNT = 1 << 20
+
+#: Draw a count table of at most this many edges (entries less one) by
+#: compare-and-add into a ``uint8`` counter, so at most 255, and a larger one
+#: by binary search.  Per 65536-trial chunk, compare-and-add costs about
+#: 11 us an edge whatever the table; binary search 0.5-2.7 ms, least on
+#: tables whose mass sits at one end.  At 64 edges compare-and-add took
+#: 0.65-0.78 ms against 0.80-2.07 ms on binomial, first-available and
+#: reachable tables; from 80 edges binary search was faster on some of them.
+MAX_COMPARE_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -89,20 +105,34 @@ def _sample(trials: int, seed: int, threads: int, draw) -> list:
 
     Chunk indices are dealt round-robin to the workers, one pool job each, so
     ``threads`` caps the jobs in flight.  Partials come back worker by worker,
-    not in chunk order; callers reduce them exactly.
+    not in chunk order; callers reduce them exactly.  When a job fails, or the
+    wait for the jobs is interrupted (Ctrl-C), every job stops at its next
+    chunk: the interpreter waits for pool threads at exit.
     """
     chunks = -(-trials // CHUNK_TRIALS)
     workers = worker_count(threads, chunks)
+    stop = threading.Event()
 
     def run(first: int) -> list:
         parts = []
-        for chunk in range(first, chunks, workers):
-            key = np.array([seed, chunk], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            parts.append(draw(rng, min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)))
+        try:
+            for chunk in range(first, chunks, workers):
+                if stop.is_set():
+                    break
+                key = np.array([seed, chunk], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                parts.append(draw(rng, min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)))
+        except BaseException:
+            stop.set()
+            raise
         return parts
 
-    return [part for parts in map_chunks(run, range(workers)) for part in parts]
+    try:
+        partials = map_chunks(run, range(workers))
+    except BaseException:
+        stop.set()
+        raise
+    return [part for parts in partials for part in parts]
 
 
 def _binomial_pmf(total: int, p: float) -> np.ndarray:
@@ -143,17 +173,39 @@ def _reachable_pmf(count: int, q: float, p_unavail: float) -> np.ndarray:
     return pmf
 
 
+def _edges(pmf: np.ndarray) -> np.ndarray:
+    """cdf[k] for k = 0..len(pmf) - 2, scaled by the cdf's own last entry.
+
+    A uniform u in [0, 1) draws count k when edges[k - 1] <= u < edges[k]:
+    the number of edges at or below u.  The trailing counts of probability
+    zero sit exactly at 1 and, like every count of probability zero, own an
+    empty interval.
+    """
+    cdf = np.cumsum(pmf)
+    return cdf[:-1] / cdf[-1]
+
+
 def _count_sampler(pmf: np.ndarray):
     """``draw(rng, size)``: counts k with probability pmf[k], one uniform each.
 
-    A uniform u in [0, 1) draws the least k with u < cdf[k].  The cdf is
-    scaled by its own last entry, so the trailing counts of probability zero
-    sit exactly at 1 and, like every count of probability zero, own an empty
-    interval.
+    Up to ``MAX_COMPARE_EDGES`` edges, each edge is one comparison over the
+    chunk added into a ``uint8`` count; beyond, a binary search per uniform.
+    The edges are non-decreasing, so both count the edges at or below u.
     """
-    cdf = np.cumsum(pmf)
-    edges = cdf[:-1] / cdf[-1]
-    return lambda rng, size: np.searchsorted(edges, rng.random(size), side="right")
+    edges = _edges(pmf)
+    if len(edges) > MAX_COMPARE_EDGES:
+        return lambda rng, size: np.searchsorted(edges, rng.random(size), side="right")
+
+    def draw(rng, size):
+        uniforms = rng.random(size)
+        counts = np.zeros(size, np.uint8)
+        at_or_above = np.empty(size, bool)
+        for edge in edges:
+            np.greater_equal(uniforms, edge, out=at_or_above)
+            counts += at_or_above.view(np.uint8)
+        return counts
+
+    return draw
 
 
 def _result(trials, estimate, se, analytic, z_se=None, **counts) -> SimulationResult:
@@ -179,7 +231,7 @@ def _event_rate(analytic, trials, seed, threads, draw) -> SimulationResult:
             "inflated probability where the analytic formulas are equally exact"
         )
     events = sum(_sample(trials, seed, threads,
-                         lambda rng, size: int(draw(rng, size).sum())))
+                         lambda rng, size: int(np.count_nonzero(draw(rng, size)))))
     estimate = events / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     # with no events or only events the estimate's own error is zero; the
@@ -218,14 +270,16 @@ def simulate_loss(
 ) -> SimulationResult:
     """Estimate the m+n data loss probability by drawing each trial's failure count.
 
-    Each trial draws the number of dead disks among m+n from the
-    Binomial(m+n, p) table; the loss event is more than n of them.
+    The loss event is more than n of m+n disks dead, Binomial(m+n, p).  A
+    trial's uniform draws more than n exactly when it is at or above the
+    table's n-th edge, so each trial is one comparison and no count is made.
     Converges to prob_loss_ec(p, m, n).
     """
     _check_run_params(trials, seed, threads, m + n)
     analytic = prob_loss_ec(p, m, n)
-    draw = _count_sampler(_binomial_pmf(m + n, p))
-    return _event_rate(analytic, trials, seed, threads, lambda rng, size: draw(rng, size) > n)
+    threshold = _edges(_binomial_pmf(m + n, p))[n]
+    return _event_rate(analytic, trials, seed, threads,
+                       lambda rng, size: rng.random(size) >= threshold)
 
 
 def simulate_availability(
@@ -246,13 +300,20 @@ def simulate_availability(
     # for a placement outside the topology
     analytic = placement_unavailability(model, topology, placement)
     need = placement.scheme.data_fragments
-    draws = [
-        _count_sampler(_reachable_pmf(count, topology.outage_probs[dc], model.p_unavail))
-        for dc, count in placement.dc_counts().items()
-    ]
+    # one table per (fragment count, outage probability); each data center
+    # still draws its own uniforms, in dc order
+    groups = [(count, topology.outage_probs[dc]) for dc, count in placement.dc_counts().items()]
+    samplers = {group: _count_sampler(_reachable_pmf(*group, model.p_unavail))
+                for group in set(groups)}
+    draws = [samplers[group] for group in groups]
 
     def draw(rng, size):
-        return sum(dc_draw(rng, size) for dc_draw in draws) < need
+        # a data center's counts may be uint8; their sum may pass 255, and
+        # int32 holds up to MAX_TABLE_COUNT fragments
+        reachable = np.zeros(size, np.int32)
+        for dc_draw in draws:
+            reachable += dc_draw(rng, size)
+        return reachable < need
 
     return _event_rate(analytic, trials, seed, threads, draw)
 

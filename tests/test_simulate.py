@@ -1,11 +1,13 @@
 import math
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from durakit import latency, simulate
+from durakit import latency, parallel, simulate
 from durakit.errors import RareEventError
 from durakit.latency import LatencyProfile, expected_latency_replication
 from durakit.parallel import worker_count
@@ -190,6 +192,34 @@ class TestAvailabilityScenario:
         assert result.events > 1_000
         assert abs(result.z_score) < 4
 
+    def test_reachable_sum_holds_more_than_255_fragments(self):
+        # ec:300+5 over 305 data centers, one fragment each: a sum of the
+        # DCs' uint8 counts wraps past 255 and reports nearly every trial
+        topo = Topology(305, 0.005)
+        placement = balanced_placement(ErasureScheme(300, 5), topo)
+        assert set(placement.dc_counts().values()) == {1}
+        result = simulate_availability(DiskFailureModel(p_dead=0.0, p_unavail=0.005), topo,
+                                       placement, 200_000, seed=3)
+        assert result.events == 17_582
+        assert abs(result.z_score) < 4
+
+    def test_one_table_per_fragment_count_and_outage_probability(self, monkeypatch):
+        built = []
+
+        def recorded(count, q, p_unavail):
+            built.append((count, q))
+            return reachable_pmf(count, q, p_unavail)
+
+        reachable_pmf = simulate._reachable_pmf
+        monkeypatch.setattr(simulate, "_reachable_pmf", recorded)
+        model = DiskFailureModel(p_dead=0.0, p_unavail=0.02)
+        topo = Topology(5, (0.01, 0.01, 0.05, 0.01, 0.05))
+        placement = balanced_placement(ErasureScheme(8, 4), topo)  # 3, 3, 2, 2, 2
+        result = simulate_availability(model, topo, placement, 200_000, seed=43)
+        assert sorted(built) == [(2, 0.01), (2, 0.05), (3, 0.01)]
+        assert result.analytic == placement_unavailability(model, topo, placement)
+        assert abs(result.z_score) < 4
+
     def test_unknown_scheme_rejected(self):
         model = DiskFailureModel(0.0)
         topo = Topology(2, 0.0)
@@ -306,6 +336,36 @@ class TestEngine:
         assert pools.sizes == [2] and pools.started[0].jobs == [(0,), (1,)]
         assert result == simulate_loss(0.2, 2, 1, trials, seed=1, threads=1)
 
+    @pytest.mark.parametrize("failure", ["draw raises", "wait interrupted"])
+    def test_a_failed_run_stops_every_job_within_a_chunk(self, failure, pools, monkeypatch):
+        # the interpreter waits for pool threads at exit, so a job that drew
+        # on after Ctrl-C would hold the process until the run's last chunk
+        pools.reset(2)
+        draws, first_draw = [], threading.Event()
+        lock = threading.Lock()
+
+        def draw(rng, size):
+            with lock:
+                draws.append(size)
+                first = len(draws) == 1
+            first_draw.set()
+            if failure == "draw raises" and first:
+                raise RuntimeError("chunk failed")
+            time.sleep(0.001)
+            return 0
+
+        def interrupted_wait(fn, chunks):
+            jobs = [parallel.submit(fn, chunk) for chunk in chunks]
+            assert first_draw.wait(10) and len(jobs) == 2
+            raise KeyboardInterrupt
+
+        if failure == "wait interrupted":
+            monkeypatch.setattr(simulate, "map_chunks", interrupted_wait)
+        with pytest.raises(RuntimeError if failure == "draw raises" else KeyboardInterrupt):
+            simulate._sample(400 * simulate.CHUNK_TRIALS, 0, 2, draw)
+        pools.started[0].shutdown(wait=True)
+        assert len(draws) <= 10, len(draws)  # of 400
+
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_too_many_trials_rejected_before_any_draw(self, name, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -324,8 +384,8 @@ class TestEngine:
 
     def test_large_m_chunk_allocates_linear_memory(self):
         # one chunk of per-disk draws would hold CHUNK_TRIALS x (m+n) uniforms,
-        # about 5.2 GB here; count draws need a uniform and a count per trial
-        # plus a table of m+n+1 entries
+        # about 5.2 GB here; the loss draw needs a uniform and a flag per
+        # trial plus a table of m+n+1 entries
         m, n = 10_000, 10
         tracemalloc.start()
         try:
@@ -421,6 +481,33 @@ DEGENERATE_TABLES = {
 }
 
 
+# every table above, and binomial tables of the compare-and-add bound's
+# edges and one more, either side of the switch to binary search
+AGREEMENT_TABLES = {
+    **{name: table for name, (table, _) in {**TABLES, **DEGENERATE_TABLES}.items()},
+    **{f"binomial {edges} edges p={p}": lambda edges=edges, p=p: simulate._binomial_pmf(edges, p)
+       for edges in (simulate.MAX_COMPARE_EDGES, simulate.MAX_COMPARE_EDGES + 1)
+       for p in (0.05, 0.5)},
+}
+
+
+class StubRng:
+    """Hands out chosen uniforms, repeated to whatever size is asked for."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        return np.resize(self.uniforms, size)
+
+
+def edge_uniforms(edges):
+    """0, the largest double below 1, every edge and its neighbours in [0, 1)."""
+    below, above = np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)
+    uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, below, above])
+    return uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+
+
 class TestCountTables:
     @pytest.mark.parametrize("name", TABLES)
     def test_table_matches_exact_pmf(self, name):
@@ -440,6 +527,37 @@ class TestCountTables:
         np.testing.assert_allclose(pmf, exact_floats, rtol=1e-13)
         assert [v == 0.0 for v in pmf] == [v == 0.0 for v in exact_floats]
         assert_histogram_matches(drawn_histogram(pmf, seed=6, chunks=2), exact())
+
+    @pytest.mark.parametrize("name", AGREEMENT_TABLES)
+    def test_drawn_counts_equal_binary_search_count_for_count(self, name):
+        table = AGREEMENT_TABLES[name]()
+        cdf = np.cumsum(table)
+        edges = cdf[:-1] / cdf[-1]
+        uniforms = edge_uniforms(edges)
+        counts = simulate._count_sampler(table)(StubRng(uniforms), len(uniforms))
+        np.testing.assert_array_equal(counts, np.searchsorted(edges, uniforms, side="right"))
+        small = len(edges) <= simulate.MAX_COMPARE_EDGES
+        assert (counts.dtype == np.uint8) == small, (len(edges), counts.dtype)
+
+    @pytest.mark.parametrize("p, m, n", [(0.3, 4, 2), (0.05, 8, 3), (0.4, 2, 0), (0.6, 60, 30)])
+    def test_loss_threshold_equals_binary_search_count_for_count(self, p, m, n, monkeypatch):
+        cdf = np.cumsum(simulate._binomial_pmf(m + n, p))
+        edges = cdf[:-1] / cdf[-1]
+        uniforms = np.resize(edge_uniforms(edges), simulate.CHUNK_TRIALS)
+        monkeypatch.setattr(simulate.np.random, "Generator", lambda bits: StubRng(uniforms))
+        result = simulate_loss(p, m, n, simulate.CHUNK_TRIALS, seed=0)
+        assert result.events == np.count_nonzero(
+            np.searchsorted(edges, uniforms, side="right") > n)
+
+    def test_table_above_the_bound_keeps_its_seeded_stream(self):
+        # 301 counts, drawn by binary search; the loss scenario, which
+        # compares with one edge whatever the table, no longer reaches it
+        scheme = ErasureScheme(300, 20)
+        assert scheme.m > simulate.MAX_COMPARE_EDGES
+        result = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 200_000, seed=2026,
+                                  ec=scheme)
+        assert result.unserved_trials == 15_636
+        assert result.point_estimate == 92.182
 
     def test_large_total_neither_overflows_nor_drifts(self):
         # C(10010, k) * p**k * q**(10010-k) overflows a float when formed directly
