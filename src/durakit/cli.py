@@ -448,9 +448,10 @@ def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
         "unserved_trials": result.unserved_trials,
     })
     _emit(settings, payload)
-    if settings.check and abs(result.z_score) > Z_CHECK_LIMIT:
+    # a NaN z fails too: it is not within the limit
+    if settings.check and not abs(result.z_score) <= Z_CHECK_LIMIT:
         _echo(
-            f"check failed: |z| = {abs(result.z_score):.2f} exceeds {Z_CHECK_LIMIT}",
+            f"check failed: |z| = {abs(result.z_score):.2f} is not within {Z_CHECK_LIMIT}",
             err=True,
         )
         sys.exit(EXIT_SOLVER)

@@ -402,6 +402,33 @@ class TestSimulateCommand:
         result = runner.invoke(main, self.ARGS)
         assert result.exit_code == 0  # reporting only without --check
 
+    def test_check_flag_fails_on_nan_z(self, runner, monkeypatch):
+        # abs(nan) > limit is False; a z that is not a number fails the check
+        fake = SimulationResult(trials=10, events=None, point_estimate=math.inf,
+                                standard_error=math.inf, analytic=1.0, z_score=math.nan)
+        monkeypatch.setattr("durakit.cli.simulate_loss",
+                            lambda *args, **kwargs: fake)
+        result = runner.invoke(main, ["--check", *self.ARGS])
+        assert result.exit_code == 3
+        assert "|z| = nan is not within 4.0" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--latencies", "1e308,1e308", "--m", "8", "--n", "3"],
+        ["--latencies", "1e300,1e308"],
+        ["--latencies", "1e308"],
+    ])
+    def test_largest_finite_latencies_give_finite_estimates(self, runner, args):
+        # unscaled, the moments' sums and squares overflow: the EC run printed
+        # an estimate of -inf and a z of nan, the replication run one of inf
+        result = runner.invoke(main, ["--format", "json", "--check", "simulate",
+                                      "--scenario", "latency", "--p", "0.05", *args,
+                                      "--trials", "100000"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        for key in ("estimate", "standard_error", "analytic", "z_score"):
+            assert math.isfinite(payload[key]), (key, payload[key])
+        assert payload["estimate"] == pytest.approx(payload["analytic"], rel=0.05)
+
     def test_missing_params_usage_error(self, runner):
         result = runner.invoke(main, ["simulate", "--scenario", "loss", "--p", "0.1"])
         assert result.exit_code == 2

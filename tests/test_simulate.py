@@ -200,7 +200,7 @@ class TestAvailabilityScenario:
         assert set(placement.dc_counts().values()) == {1}
         result = simulate_availability(DiskFailureModel(p_dead=0.0, p_unavail=0.005), topo,
                                        placement, 200_000, seed=3)
-        assert result.events == 17_582
+        assert result.events == 17_512
         assert abs(result.z_score) < 4
 
     def test_one_table_per_fragment_count_and_outage_probability(self, monkeypatch):
@@ -371,7 +371,7 @@ class TestEngine:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew trials for a refused run")
 
-        monkeypatch.setattr(simulate.np.random, "Philox", no_draws)
+        monkeypatch.setattr(simulate.np.random, "SFC64", no_draws)
         with pytest.raises(ValueError, match="MAX_TRIALS"):
             SCENARIOS[name](simulate.MAX_TRIALS + 1, 0, 1)
 
@@ -539,6 +539,17 @@ class TestCountTables:
         small = len(edges) <= simulate.MAX_COMPARE_EDGES
         assert (counts.dtype == np.uint8) == small, (len(edges), counts.dtype)
 
+    @pytest.mark.parametrize("name", AGREEMENT_TABLES)
+    def test_histogram_equals_bincount_of_the_counts(self, name):
+        # per-edge totals within the bound, bincount beyond: both must be
+        # the histogram of _count_sampler's counts for the same uniforms
+        table = AGREEMENT_TABLES[name]()
+        uniforms = edge_uniforms(simulate._edges(table))
+        histogram = simulate._histogram_sampler(table)(StubRng(uniforms), len(uniforms))
+        counts = simulate._count_sampler(table)(StubRng(uniforms), len(uniforms))
+        np.testing.assert_array_equal(histogram, np.bincount(counts, minlength=len(table)))
+        assert histogram.sum() == len(uniforms)
+
     @pytest.mark.parametrize("p, m, n", [(0.3, 4, 2), (0.05, 8, 3), (0.4, 2, 0), (0.6, 60, 30)])
     def test_loss_threshold_equals_binary_search_count_for_count(self, p, m, n, monkeypatch):
         cdf = np.cumsum(simulate._binomial_pmf(m + n, p))
@@ -556,8 +567,8 @@ class TestCountTables:
         assert scheme.m > simulate.MAX_COMPARE_EDGES
         result = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 200_000, seed=2026,
                                   ec=scheme)
-        assert result.unserved_trials == 15_636
-        assert result.point_estimate == 92.182
+        assert result.unserved_trials == 15_633
+        assert result.point_estimate == 92.1835
 
     def test_large_total_neither_overflows_nor_drifts(self):
         # C(10010, k) * p**k * q**(10010-k) overflows a float when formed directly
@@ -570,26 +581,48 @@ class TestCountTables:
             assert pmf[k] == pytest.approx(float(exact), rel=1e-9)
 
 
+def first_uniforms(rng, size):
+    """A chunk's draw that returns the first uniforms of its stream."""
+    return rng.random(4)
+
+
 class TestSeededStreams:
-    """One seeded run per scenario, pinned: the streams use only Philox's
-    ``random()``, so these hold on every supported numpy."""
+    """One seeded run per scenario, pinned: each chunk's stream is SFC64
+    seeded by ``SeedSequence(seed, spawn_key=(chunk,))``, of which only
+    ``random()`` is used, so these hold on every supported numpy."""
 
     def test_loss(self):
-        assert simulate_loss(0.2, 4, 2, 200_000, seed=2026).events == 19_991
+        assert simulate_loss(0.2, 4, 2, 200_000, seed=2026).events == 19_790
 
     def test_availability(self):
         topo = Topology(3, (0.01, 0.05, 0.1))
         result = simulate_availability(
             DiskFailureModel(p_dead=0.0, p_unavail=0.05), topo,
             balanced_placement(ErasureScheme(4, 2), topo), 200_000, seed=2026)
-        assert result.events == 6_894
+        assert result.events == 7_059
 
     def test_latency_replication(self):
         result = simulate_latency(LatencyProfile((1.0, 20.0, 100.0)), 0.05, 200_000,
                                   seed=2026)
-        assert result.unserved_trials == 18
+        assert result.unserved_trials == 28
+        assert result.point_estimate == 2.1418299999999997
 
     def test_latency_ec(self):
         result = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 200_000, seed=2026,
                                   ec=ErasureScheme(8, 3))
         assert result.unserved_trials == 74
+        assert result.point_estimate == 34.419555
+
+    def test_chunk_streams_are_the_seeds_spawned_children(self):
+        chunks = simulate._sample(4 * simulate.CHUNK_TRIALS, 5, 1, first_uniforms)
+        for chunk, uniforms in enumerate(chunks):
+            child = np.random.SeedSequence(5).spawn(chunk + 1)[chunk]
+            np.testing.assert_array_equal(
+                uniforms, np.random.Generator(np.random.SFC64(child)).random(4))
+
+    def test_seed_and_chunk_index_do_not_alias(self):
+        # zero-padded entropy would make [5 + 3 * 2**32, 0] and [5, 3] one
+        # stream; the spawn key is hashed apart from the seed
+        [wide_seed] = simulate._sample(simulate.CHUNK_TRIALS, 5 + 3 * 2**32, 1, first_uniforms)
+        chunk_3 = simulate._sample(4 * simulate.CHUNK_TRIALS, 5, 1, first_uniforms)[3]
+        assert not np.array_equal(wide_seed, chunk_3)
