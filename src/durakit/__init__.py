@@ -3,25 +3,16 @@
 Analytic loss, availability, and latency models, a working Reed-Solomon and
 6+2+2 local-reconstruction codec over GF(256), and a deterministic Monte
 Carlo simulator that cross-checks every formula.
+
+The analytic models load with the package and need no numpy.  The codec and
+the simulator, which do, load on first use: the first access to one of their
+names here imports its home module and binds the name in this module, so
+``import durakit`` and the ``plan``, ``compare`` and ``curve`` commands
+without ``--dcs`` never load numpy.
 """
 
-from .codec import (
-    LRC_6_2_2,
-    Fragment,
-    FragmentRole,
-    LrcScheme,
-    RecoverabilityReport,
-    RepairPlan,
-    lrc_decode,
-    lrc_encode,
-    lrc_recoverable,
-    read_fragment,
-    recoverability_report,
-    repair_plan,
-    rs_decode,
-    rs_encode,
-    write_fragment,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     ChecksumError,
     CodecError,
@@ -50,8 +41,10 @@ from .placement import (
     replication_unavailability,
 )
 from .probability import (
+    LRC_6_2_2,
     DiskFailureModel,
     ErasureScheme,
+    LrcScheme,
     ReplicationScheme,
     binomial_tail,
     gaussian_parity_estimate,
@@ -64,11 +57,45 @@ from .probability import (
     redundancy_factor,
     replicas_needed,
 )
-from .simulate import (
-    SimulationResult,
-    simulate_availability,
-    simulate_latency,
-    simulate_loss,
-)
 
 __version__ = "0.1.0"
+
+#: name bound on first access -> its home module; a submodule is its own home
+_LAZY = {
+    "Fragment": "codec",
+    "FragmentRole": "codec",
+    "RecoverabilityReport": "codec",
+    "RepairPlan": "codec",
+    "lrc_decode": "codec",
+    "lrc_encode": "codec",
+    "lrc_recoverable": "codec",
+    "read_fragment": "codec",
+    "recoverability_report": "codec",
+    "repair_plan": "codec",
+    "rs_decode": "codec",
+    "rs_encode": "codec",
+    "write_fragment": "codec",
+    "SimulationResult": "simulate",
+    "simulate_availability": "simulate",
+    "simulate_latency": "simulate",
+    "simulate_loss": "simulate",
+    "codec": "codec",
+    "parallel": "parallel",
+    "simulate": "simulate",
+}
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _LAZY[name]
+    module = _import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later lookups are plain dict hits
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

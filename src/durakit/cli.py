@@ -1,7 +1,10 @@
 """Command line front end: plan, compare, simulate, codec, curve.
 
 Every number printed here comes from calling a library operation with the
-same arguments; the CLI only parses, dispatches, and serializes.
+same arguments; the CLI only parses, dispatches, and serializes.  The codec
+and the simulator, which load numpy, are imported inside the code that uses
+them, so ``plan``, ``compare`` and ``curve`` without ``--dcs`` start without
+either.
 
 Exit codes: 0 success, 2 usage or file system error, 3 solver/guard/check failure,
 4 unusable fragment set (insufficient, inconsistent, or unrecoverable),
@@ -22,14 +25,6 @@ from pathlib import Path
 
 import click
 
-from .codec import (
-    LRC_6_2_2,
-    read_fragment,
-    recoverability_report,
-    repair_plan,
-    write_fragment,
-)
-from .codec.linear import code_of, encode, solve
 from .errors import ChecksumError, CodecError, DurakitError, MalformedFragmentError
 from .latency import LatencyProfile, approx_latency_ec
 from .placement import (
@@ -39,6 +34,8 @@ from .placement import (
 )
 from .probability import (
     DEFAULT_PARITY_CAP,
+    LRC_6_2_2,
+    MAX_TABLE_COUNT,
     DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
@@ -48,12 +45,6 @@ from .probability import (
     prob_loss_ec,
     redundancy_factor,
     replicas_needed,
-)
-from .simulate import (
-    MAX_TABLE_COUNT,
-    simulate_availability,
-    simulate_latency,
-    simulate_loss,
 )
 
 EXIT_USAGE = 2
@@ -302,6 +293,8 @@ def _comparison_row(
         placement = balanced_placement(scheme, topology)
         unavailability = placement_unavailability(model, topology, placement)
         if scheme.fragment_count > 1:
+            from .codec import repair_plan
+
             repair_remote = repair_plan(placement, 0).remote_transfers
     latency = None
     if profile is not None:
@@ -394,6 +387,8 @@ def compare(settings: Settings, p, epsilon, schemes, dcs, q, p_unavail, latencie
 def simulate(settings: Settings, scenario, trials, p, m, n, replicas, dcs, q,
              p_unavail, latencies):
     """Run a Monte Carlo scenario and report estimate, analytic value, and z-score."""
+    from .simulate import simulate_availability, simulate_latency, simulate_loss
+
     payload: dict = {
         "scenario": scenario,
         "trials": trials,
@@ -472,6 +467,9 @@ def codec():
 @_translate_errors
 def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Path):
     """Encode a file into one fragment file per index."""
+    from .codec import write_fragment
+    from .codec.linear import code_of, encode
+
     code = code_of(parse_scheme(scheme_text))
     fragments = encode(code, input_file.read_bytes(), None)
 
@@ -498,6 +496,9 @@ def codec_encode(settings: Settings, input_file: Path, scheme_text, out_dir: Pat
 @_translate_errors
 def codec_decode(settings: Settings, fragment_files, out_file: Path):
     """Reconstruct a file from any sufficient subset of its fragment files."""
+    from .codec import read_fragment
+    from .codec.linear import code_of, solve
+
     fragments = [read_fragment(path) for path in fragment_files]
     data, used = solve(code_of(fragments[0].scheme), fragments)
     out_file.write_bytes(data)
@@ -517,6 +518,8 @@ def codec_decode(settings: Settings, fragment_files, out_file: Path):
 @_translate_errors
 def codec_report(settings: Settings, scheme_text, max_t):
     """Recoverable fraction of every failure pattern size up to max-t."""
+    from .codec import recoverability_report
+
     scheme = parse_scheme(scheme_text)
     if max_t is None:
         max_t = min(4, scheme.fragment_count)

@@ -126,6 +126,10 @@ class LrcScheme:
 
 LRC_6_2_2 = LrcScheme()
 
+#: Largest count a table ranges over, fragments or sites: 8 MiB per table.
+#: Larger schemes end in a usage error, not a huge allocation.
+MAX_TABLE_COUNT = 1 << 20
+
 
 def binomial_tail(p: float, total: int, threshold: int) -> float:
     """P[X > threshold] for X ~ Binomial(total, p).

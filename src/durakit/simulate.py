@@ -43,7 +43,7 @@ from .errors import RareEventError
 from .latency import LatencyProfile, ec_read_latency_expectation, expected_latency_replication
 from .parallel import map_chunks, worker_count
 from .placement import Placement, Topology, placement_unavailability
-from .probability import DiskFailureModel, ErasureScheme, prob_loss_ec
+from .probability import MAX_TABLE_COUNT, DiskFailureModel, ErasureScheme, prob_loss_ec
 
 CHUNK_TRIALS = 1 << 16
 
@@ -55,10 +55,6 @@ MAX_TRIALS = 1 << 34
 
 #: Refuse probability estimates expecting fewer than this many events.
 MIN_EXPECTED_EVENTS = 10
-
-#: Largest count a table ranges over, fragments or sites: 8 MiB per table.
-#: Larger schemes end in a usage error, not a huge allocation.
-MAX_TABLE_COUNT = 1 << 20
 
 #: Draw a count table of at most this many edges (entries less one) by
 #: compare-and-add into a ``uint8`` counter, so at most 255, and a larger one

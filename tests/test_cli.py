@@ -395,7 +395,7 @@ class TestSimulateCommand:
     def test_check_flag_fails_on_large_z(self, runner, monkeypatch):
         fake = SimulationResult(trials=10, events=5, point_estimate=0.5,
                                 standard_error=0.01, analytic=0.4, z_score=10.0)
-        monkeypatch.setattr("durakit.cli.simulate_loss",
+        monkeypatch.setattr("durakit.simulate.simulate_loss",
                             lambda *args, **kwargs: fake)
         result = runner.invoke(main, ["--check", *self.ARGS])
         assert result.exit_code == 3
@@ -406,7 +406,7 @@ class TestSimulateCommand:
         # abs(nan) > limit is False; a z that is not a number fails the check
         fake = SimulationResult(trials=10, events=None, point_estimate=math.inf,
                                 standard_error=math.inf, analytic=1.0, z_score=math.nan)
-        monkeypatch.setattr("durakit.cli.simulate_loss",
+        monkeypatch.setattr("durakit.simulate.simulate_loss",
                             lambda *args, **kwargs: fake)
         result = runner.invoke(main, ["--check", *self.ARGS])
         assert result.exit_code == 3

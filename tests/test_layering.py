@@ -3,6 +3,9 @@
 The analytic layer (probability, placement, latency, simulate) reads a
 scheme's own shape and never imports the codec; only the codec itself, the
 CLI and the package's public re-exports in ``durakit/__init__.py`` do.
+The modules ``import durakit.cli`` loads never import numpy, and the CLI
+imports the codec and the simulator, which do, only inside the functions
+that use them; ``durakit/__init__.py`` binds their names on first access.
 Within the codec, ``fragments`` imports the schemes at module level, so its
 only deferred import is the codec core that ``Fragment.role`` reads.  Code
 dispatches on a scheme's stated shape, not on its class: no code in ``src/``
@@ -25,11 +28,23 @@ def modules():
         yield path, parts
 
 
-def imported_modules(path, parts):
+def import_nodes(tree, module_level=False):
+    """Every import statement in ``tree``; with ``module_level``, none in a function."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def imported_modules(path, parts, module_level=False):
     """Absolute names of every module an import in ``path`` can bind."""
     package = parts[:-1]  # what a relative import is relative to, __init__ too
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in import_nodes(ast.parse(path.read_text(encoding="utf-8")), module_level):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -54,6 +69,23 @@ def test_only_the_codec_cli_and_package_root_import_the_codec():
         if parts[:2] != ("durakit", "codec") and parts not in allowed
     }
     assert {module: names for module, names in offenders.items() if names} == {}
+
+
+def within(names, *packages):
+    return {n for n in names if any(n == p or n.startswith(f"{p}.") for p in packages)}
+
+
+def test_cli_imports_the_codec_and_the_simulator_only_inside_functions():
+    cli = PACKAGE / "cli.py", ("durakit", "cli")
+    deferred = ("durakit.codec", "durakit.simulate")
+    assert within(imported_modules(*cli, module_level=True), *deferred) == set()
+    assert within(imported_modules(*cli), *deferred) >= set(deferred)
+
+
+def test_what_the_cli_loads_never_imports_numpy():
+    for name in ("errors", "probability", "placement", "latency"):
+        path = PACKAGE / f"{name}.py"
+        assert within(imported_modules(path, ("durakit", name)), "numpy") == set(), name
 
 
 def test_fragments_defers_only_the_import_role_needs():
