@@ -3,11 +3,13 @@
 Each trial samples the steady state: the per-disk probabilities already fold
 failure and replacement rates into one number, so there is no time axis.
 Every scenario turns on a count, not on which disks are down: the failed
-fragments of a stripe, the first available site, the reachable fragments of
-each data center.  So a trial draws that count directly from one uniform u
-and the edges of a table of the count's probabilities, its cdf: the count is
-the number of edges at or below u (inversion by sequential search, Devroye,
-"Non-Uniform Random Variate Generation", 1986, ch. III.2).  A table of at
+fragments of a stripe, the first available site, the unreachable fragments
+of each group of alike data centers (availability depends on how many
+fragments a group lost, not on which of its DCs lost them).  So a trial
+draws that count directly from one uniform u and the edges of a table of
+the count's probabilities, its cdf: the count is the number of edges at or
+below u (inversion by sequential search, Devroye, "Non-Uniform Random
+Variate Generation", 1986, ch. III.2).  A table of at
 most ``MAX_COMPARE_EDGES`` edges counts them by compare-and-add, one
 whole-chunk comparison per edge; a larger one by binary search.  The loss
 scenario needs no count at all: more than n failures is u at or above the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +50,10 @@ from .probability import MAX_TABLE_COUNT, DiskFailureModel, ErasureScheme, prob_
 
 CHUNK_TRIALS = 1 << 16
 
-#: Refuse runs of more trials: 262,144 chunks, about 80 s of 8+3 loss and
-#: 5 minutes of 8+3 availability over three data centers on one core (4.8
-#: and 17 ns a trial).  Larger requests end in a usage error, not a huge
-#: allocation.
+#: Refuse runs of more trials: 262,144 chunks, about 50 s of 8+3 loss and
+#: 2 minutes of 8+3 availability over three data centers on one core (2.9
+#: and 7.2 ns a trial on a 2-vCPU Xeon VM).  Larger requests end in a usage
+#: error, not a huge allocation.
 MAX_TRIALS = 1 << 34
 
 #: Refuse probability estimates expecting fewer than this many events.
@@ -62,7 +65,8 @@ MIN_EXPECTED_EVENTS = 10
 #: 11 us an edge whatever the table; binary search 0.5-2.7 ms, least on
 #: tables whose mass sits at one end.  At 64 edges compare-and-add took
 #: 0.65-0.78 ms against 0.80-2.07 ms on binomial, first-available and
-#: reachable tables; from 80 edges binary search was faster on some of them.
+#: one-DC reachable tables; from 80 edges binary search was faster on some
+#: of them.
 MAX_COMPARE_EDGES = 64
 
 
@@ -169,17 +173,35 @@ def _first_available_pmf(sites: int, p: float) -> np.ndarray:
     return pmf
 
 
-def _reachable_pmf(count: int, q: float, p_unavail: float) -> np.ndarray:
-    """P[r of a data center's ``count`` fragments are reachable], r = 0..count.
+def _unreachable_pmf(count: int, copies: int, q: float, p_unavail: float,
+                     cut: int) -> np.ndarray:
+    """P[min(U, cut) = u], u = 0..cut at most, U the unreachable fragments of
+    ``copies`` alike data centers of ``count`` fragments each.
 
-    The DC is out with probability q, leaving none; otherwise each fragment
-    is unavailable with p_unavail.  The unavailable count is binomial;
-    reversing its table, rather than building one at 1 - p_unavail, keeps a
-    small p_unavail from rounding away.
+    A DC is out with probability q, leaving all its fragments unreachable;
+    otherwise each is unreachable with p_unavail.  So one DC's table is
+    (1 - q) * Binomial(count, p_unavail) plus q at count, and the sum over
+    ``copies`` independent DCs is its ``copies``-fold ``np.convolve`` power,
+    formed by repeated squaring (the convolution method, Devroye, 1986,
+    ch. XIV).  Since min(a + b, cut) = min(min(a, cut) + min(b, cut), cut),
+    every factor and product is cut at ``cut``, its mass at ``cut`` and above
+    moved into the last bin: no table has more than cut + 1 entries, and the
+    work is O(cut**2 log copies).
     """
-    pmf = (1.0 - q) * _binomial_pmf(count, p_unavail)[::-1]
-    pmf[0] += q
-    return pmf
+    def cut_off(pmf):
+        return pmf if len(pmf) <= cut + 1 else np.append(pmf[:cut], pmf[cut:].sum())
+
+    base = (1.0 - q) * _binomial_pmf(count, p_unavail)
+    base[count] += q
+    base = cut_off(base)
+    pmf = np.ones(1)
+    while True:
+        if copies & 1:
+            pmf = cut_off(np.convolve(pmf, base))
+        copies >>= 1
+        if not copies:
+            return pmf
+        base = cut_off(np.convolve(base, base))
 
 
 def _edges(pmf: np.ndarray) -> np.ndarray:
@@ -328,34 +350,36 @@ def simulate_availability(
     model: DiskFailureModel, topology: Topology, placement: Placement,
     trials: int, seed: int = 0, threads: int = 1,
 ) -> SimulationResult:
-    """Estimate unavailability from each data center's count of reachable fragments.
+    """Estimate unavailability from each group of alike data centers' unreachable count.
 
-    Each trial draws, for every data center holding fragments, how many of
-    them are reachable: none when the DC is out, else each fragment is up
-    with probability 1 - p_unavail.  The event is fewer than m reachable in
-    total (one reachable replica for replication placements).  Converges to
-    placement_unavailability, and to replication_unavailability for one
-    replica per DC.
+    The data centers holding fragments are grouped by (fragment count,
+    outage probability): which DC of a group failed does not matter to the
+    event.  Each trial draws, per group, how many of its fragments are
+    unreachable, all of a DC's when it is out, else each with p_unavail,
+    from the group's table cut at T = N - k + 1 (``_unreachable_pmf``).  The
+    event is fewer than k of the N fragments reachable (k = m, or one
+    replica for replication placements): the cut counts summing to at least
+    T, which the cut leaves exact.  Converges to placement_unavailability,
+    and to replication_unavailability for one replica per DC.
     """
     _check_run_params(trials, seed, threads, len(placement.assignment))
     # raises TypeError for any scheme that is not an MDS code, and ValueError
     # for a placement outside the topology
     analytic = placement_unavailability(model, topology, placement)
-    need = placement.scheme.data_fragments
-    # one table per (fragment count, outage probability); each data center
-    # still draws its own uniforms, in dc order
-    groups = [(count, topology.outage_probs[dc]) for dc, count in placement.dc_counts().items()]
-    samplers = {group: _count_sampler(_reachable_pmf(*group, model.p_unavail))
-                for group in set(groups)}
-    draws = [samplers[group] for group in groups]
+    cut = len(placement.assignment) - placement.scheme.data_fragments + 1
+    # groups in the order of their first data center
+    groups = Counter((count, topology.outage_probs[dc])
+                     for dc, count in placement.dc_counts().items())
+    draws = [_count_sampler(_unreachable_pmf(count, copies, q, model.p_unavail, cut))
+             for (count, q), copies in groups.items()]
 
     def draw(rng, size):
-        # a data center's counts may be uint8; their sum may pass 255, and
-        # int32 holds up to MAX_TABLE_COUNT fragments
-        reachable = np.zeros(size, np.int32)
-        for dc_draw in draws:
-            reachable += dc_draw(rng, size)
-        return reachable < need
+        # a group's counts may be uint8; their sum may pass 255, and int32
+        # holds up to MAX_TABLE_COUNT fragments
+        unreachable = np.zeros(size, np.int32)
+        for group_draw in draws:
+            unreachable += group_draw(rng, size)
+        return unreachable >= cut
 
     return _event_rate(analytic, trials, seed, threads, draw)
 

@@ -107,19 +107,31 @@ def exact_first_available_pmf(p: float, sites: int) -> list[Fraction]:
     return pmf
 
 
-def exact_reachable_pmf(count: int, q: float, p_unavail: float) -> list[Fraction]:
-    """P[r of one data center's ``count`` fragments are reachable], r = 0..count,
-    by enumerating the DC's state and every fragment's in exact arithmetic."""
+def exact_unreachable_pmf(count: int, copies: int, q: float, p_unavail: float,
+                          cut: int) -> list[Fraction]:
+    """P[min(U, cut) = u], U the unreachable fragments of ``copies`` data
+    centers of ``count`` fragments each, in exact arithmetic.
+
+    One DC's pmf enumerates its state and every fragment's; the sum over the
+    DCs is ``copies`` plain convolutions, one DC at a time, uncut; the mass at
+    ``cut`` and above is gathered once, at the end.  The table is as long as
+    the uncut one allows, at most cut + 1 entries.
+    """
     qf = Fraction(q)
     pu = Fraction(p_unavail)
-    pmf = [Fraction(0)] * (count + 1)
-    pmf[0] += qf  # the DC is out: nothing in it is reachable
+    one = [Fraction(0)] * (count + 1)
+    one[count] += qf  # the DC is out: everything in it is unreachable
     for states in product((0, 1), repeat=count):
         prob = 1 - qf
         for down in states:
             prob *= pu if down else 1 - pu
-        pmf[count - sum(states)] += prob
-    return pmf
+        one[sum(states)] += prob
+    total = [Fraction(1)]
+    for _ in range(copies):
+        total = [sum(total[i] * one[u - i]
+                     for i in range(max(0, u - count), min(u, len(total) - 1) + 1))
+                 for u in range(len(total) + count)]
+    return total[:cut] + [sum(total[cut:])] if len(total) > cut + 1 else total
 
 
 def _gf256_mul(a: int, b: int) -> int:

@@ -25,7 +25,7 @@ from durakit.simulate import (
     simulate_loss,
 )
 
-from oracles import exact_binomial_pmf, exact_first_available_pmf, exact_reachable_pmf
+from oracles import exact_binomial_pmf, exact_first_available_pmf, exact_unreachable_pmf
 
 
 class TestDeterminism:
@@ -192,31 +192,41 @@ class TestAvailabilityScenario:
         assert result.events > 1_000
         assert abs(result.z_score) < 4
 
-    def test_reachable_sum_holds_more_than_255_fragments(self):
-        # ec:300+5 over 305 data centers, one fragment each: a sum of the
-        # DCs' uint8 counts wraps past 255 and reports nearly every trial
-        topo = Topology(305, 0.005)
-        placement = balanced_placement(ErasureScheme(300, 5), topo)
-        assert set(placement.dc_counts().values()) == {1}
-        result = simulate_availability(DiskFailureModel(p_dead=0.0, p_unavail=0.005), topo,
+    def test_unreachable_sum_holds_more_than_255_fragments(self):
+        # ec:5+300 over 305 data centers, one fragment and a distinct q each:
+        # 305 groups whose counts must sum to T = 301 for an event, which a
+        # uint8 sum, wrapping past 255, never reaches
+        topo = Topology(305, tuple(0.001 + 1e-5 * dc for dc in range(305)))
+        placement = balanced_placement(ErasureScheme(5, 300), topo)
+        result = simulate_availability(DiskFailureModel(p_dead=0.0, p_unavail=0.98), topo,
                                        placement, 200_000, seed=3)
-        assert result.events == 17_512
+        assert result.events == 54_460
         assert abs(result.z_score) < 4
 
-    def test_one_table_per_fragment_count_and_outage_probability(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("scheme, topo, groups", [
+        # 305 alike one-fragment DCs: one group
+        (ErasureScheme(300, 5), Topology(305, 0.005), 1),
+        # 3, 3, 2, 2, 2 fragments: groups (3, 0.01) x 2, (2, 0.05) x 2, (2, 0.01)
+        (ErasureScheme(8, 4), Topology(5, (0.01, 0.01, 0.05, 0.01, 0.05)), 3),
+    ], ids=["ec:300+5 over 305 DCs", "ec:8+4 over 5 DCs at two q"])
+    def test_one_uniform_per_group_of_alike_data_centers(self, scheme, topo, groups,
+                                                          monkeypatch):
+        calls = []
 
-        def recorded(count, q, p_unavail):
-            built.append((count, q))
-            return reachable_pmf(count, q, p_unavail)
+        class CountingRng:
+            def __init__(self, bits):
+                self.rng = real_generator(bits)
 
-        reachable_pmf = simulate._reachable_pmf
-        monkeypatch.setattr(simulate, "_reachable_pmf", recorded)
+            def random(self, size):
+                calls.append(size)
+                return self.rng.random(size)
+
+        real_generator = simulate.np.random.Generator
+        monkeypatch.setattr(simulate.np.random, "Generator", CountingRng)
         model = DiskFailureModel(p_dead=0.0, p_unavail=0.02)
-        topo = Topology(5, (0.01, 0.01, 0.05, 0.01, 0.05))
-        placement = balanced_placement(ErasureScheme(8, 4), topo)  # 3, 3, 2, 2, 2
-        result = simulate_availability(model, topo, placement, 200_000, seed=43)
-        assert sorted(built) == [(2, 0.01), (2, 0.05), (3, 0.01)]
+        placement = balanced_placement(scheme, topo)
+        result = simulate_availability(model, topo, placement, simulate.CHUNK_TRIALS, seed=43)
+        assert calls == [simulate.CHUNK_TRIALS] * groups
         assert result.analytic == placement_unavailability(model, topo, placement)
         assert abs(result.z_score) < 4
 
@@ -452,11 +462,16 @@ TABLES = {
                             lambda: exact_first_available_pmf(0.05, 3)),
     "latency rep 5 sites": (lambda: simulate._first_available_pmf(5, 0.4),
                             lambda: exact_first_available_pmf(0.4, 5)),
-    # the availability table: reachable fragments of one data center
-    "availability 4 in a DC": (lambda: simulate._reachable_pmf(4, 0.01, 0.02),
-                               lambda: exact_reachable_pmf(4, 0.01, 0.02)),
-    "availability 3 in a DC": (lambda: simulate._reachable_pmf(3, 0.2, 0.3),
-                               lambda: exact_reachable_pmf(3, 0.2, 0.3)),
+    # the availability tables: unreachable fragments of a group of alike
+    # data centers, cut at T = N - k + 1
+    "availability 2 DCs x 4, cut binds": (lambda: simulate._unreachable_pmf(4, 2, 0.01, 0.02, 4),
+                                          lambda: exact_unreachable_pmf(4, 2, 0.01, 0.02, 4)),
+    "availability 1 DC x 3, uncut": (lambda: simulate._unreachable_pmf(3, 1, 0.2, 0.3, 4),
+                                     lambda: exact_unreachable_pmf(3, 1, 0.2, 0.3, 4)),
+    "availability 3 DCs x 1": (lambda: simulate._unreachable_pmf(1, 3, 0.01, 0.02, 3),
+                               lambda: exact_unreachable_pmf(1, 3, 0.01, 0.02, 3)),
+    "availability 5 DCs x 2, cut binds": (lambda: simulate._unreachable_pmf(2, 5, 0.1, 0.2, 6),
+                                          lambda: exact_unreachable_pmf(2, 5, 0.1, 0.2, 6)),
 }
 
 DEGENERATE_TABLES = {
@@ -468,26 +483,31 @@ DEGENERATE_TABLES = {
                             lambda: exact_first_available_pmf(0.0, 3)),
     "first available p=1": (lambda: simulate._first_available_pmf(3, 1.0),
                             lambda: exact_first_available_pmf(1.0, 3)),
-    "reachable q=0": (lambda: simulate._reachable_pmf(4, 0.0, 0.1),
-                      lambda: exact_reachable_pmf(4, 0.0, 0.1)),
-    "reachable q=1": (lambda: simulate._reachable_pmf(4, 1.0, 0.1),
-                      lambda: exact_reachable_pmf(4, 1.0, 0.1)),
-    "reachable p_u=0": (lambda: simulate._reachable_pmf(4, 0.3, 0.0),
-                        lambda: exact_reachable_pmf(4, 0.3, 0.0)),
-    "reachable p_u=1": (lambda: simulate._reachable_pmf(4, 0.3, 1.0),
-                        lambda: exact_reachable_pmf(4, 0.3, 1.0)),
-    "reachable q=0 p_u=0": (lambda: simulate._reachable_pmf(4, 0.0, 0.0),
-                            lambda: exact_reachable_pmf(4, 0.0, 0.0)),
+    "unreachable q=0": (lambda: simulate._unreachable_pmf(4, 2, 0.0, 0.1, 5),
+                        lambda: exact_unreachable_pmf(4, 2, 0.0, 0.1, 5)),
+    "unreachable q=1": (lambda: simulate._unreachable_pmf(4, 2, 1.0, 0.1, 5),
+                        lambda: exact_unreachable_pmf(4, 2, 1.0, 0.1, 5)),
+    "unreachable p_u=0": (lambda: simulate._unreachable_pmf(4, 2, 0.3, 0.0, 5),
+                          lambda: exact_unreachable_pmf(4, 2, 0.3, 0.0, 5)),
+    "unreachable p_u=1": (lambda: simulate._unreachable_pmf(4, 2, 0.3, 1.0, 5),
+                          lambda: exact_unreachable_pmf(4, 2, 0.3, 1.0, 5)),
+    "unreachable q=0 p_u=0": (lambda: simulate._unreachable_pmf(4, 2, 0.0, 0.0, 5),
+                              lambda: exact_unreachable_pmf(4, 2, 0.0, 0.0, 5)),
+    "unreachable q=1 p_u=1": (lambda: simulate._unreachable_pmf(4, 2, 1.0, 1.0, 5),
+                              lambda: exact_unreachable_pmf(4, 2, 1.0, 1.0, 5)),
 }
 
 
-# every table above, and binomial tables of the compare-and-add bound's
-# edges and one more, either side of the switch to binary search
+# every table above, binomial tables of the compare-and-add bound's edges
+# and one more, either side of the switch to binary search, and a group
+# table beyond the bound
 AGREEMENT_TABLES = {
     **{name: table for name, (table, _) in {**TABLES, **DEGENERATE_TABLES}.items()},
     **{f"binomial {edges} edges p={p}": lambda edges=edges, p=p: simulate._binomial_pmf(edges, p)
        for edges in (simulate.MAX_COMPARE_EDGES, simulate.MAX_COMPARE_EDGES + 1)
        for p in (0.05, 0.5)},
+    # a group of 80 one-fragment DCs cut at 70: 70 edges, drawn by binary search
+    "unreachable 80 DCs x 1, cut 70": lambda: simulate._unreachable_pmf(1, 80, 0.01, 0.3, 70),
 }
 
 
@@ -599,7 +619,7 @@ class TestSeededStreams:
         result = simulate_availability(
             DiskFailureModel(p_dead=0.0, p_unavail=0.05), topo,
             balanced_placement(ErasureScheme(4, 2), topo), 200_000, seed=2026)
-        assert result.events == 7_059
+        assert result.events == 7_038
 
     def test_latency_replication(self):
         result = simulate_latency(LatencyProfile((1.0, 20.0, 100.0)), 0.05, 200_000,
