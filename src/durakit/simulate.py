@@ -3,24 +3,20 @@
 Each trial samples the steady state: the per-disk probabilities already fold
 failure and replacement rates into one number, so there is no time axis.
 Every scenario turns on a count, not on which disks are down: the failed
-fragments of a stripe, the first available site, the unreachable fragments
-of each group of alike data centers (availability depends on how many
-fragments a group lost, not on which of its DCs lost them).  So a trial
-draws that count directly from one uniform u and the edges of a table of
-the count's probabilities, its cdf: the count is the number of edges at or
-below u (inversion by sequential search, Devroye, "Non-Uniform Random
-Variate Generation", 1986, ch. III.2).  A table of at
-most ``MAX_COMPARE_EDGES`` edges counts them by compare-and-add, one
-whole-chunk comparison per edge; a larger one by binary search.  The loss
-scenario needs no count at all: more than n failures is u at or above the
-n-th edge, one comparison.  All three give the same counts for the same
-uniforms.  The latency scenarios need only how many trials drew each count:
-within the compare-and-add bound that is the differences of the per-edge
-totals of uniforms at or above each edge, so no per-trial count is made
-there either.  Each run builds its tables from the model's per-count pmf
-(binomial ones in log space), sharing no code with the analytic formulas the
-result is compared against.  A count of probability zero owns an empty
-interval and is never drawn; one below 2**-53 may not be drawn either.
+fragments of a stripe, the unreachable fragments of a placement, the first
+available site.  So a trial draws that count from one uniform u and the
+edges of a table of the count's probabilities, its cdf: the count is the
+number of edges at or below u (inversion by sequential search, Devroye,
+"Non-Uniform Random Variate Generation", 1986, ch. III.2).  Loss and
+availability need no count: a count of at least t is u at or above edge
+t - 1, one comparison per trial.  The latency scenarios need only how many
+trials drew each count: within ``MAX_COMPARE_EDGES`` edges the differences
+of the per-edge totals of uniforms at or above each edge, beyond it a
+binary search per uniform and a tally.  Each run builds its tables from the
+model's per-count pmf (binomial ones in log space), sharing no code with the
+analytic formulas the result is compared against.  A count of probability
+zero owns an empty interval and is never drawn; one below 2**-53 may not be
+drawn either.
 
 Determinism contract: identical (seed, trials, scenario parameters) produce
 identical results under any thread count.  Trials are processed in fixed
@@ -28,9 +24,9 @@ identical results under any thread count.  Trials are processed in fixed
 ``SeedSequence(seed, spawn_key=(chunk index,))``: the chunk-th child of the
 run's seed, built directly, of which only ``random()`` is used.  Per-chunk
 partials are reduced exactly (integer sums and ``math.fsum``), so the order
-in which chunks finish cannot matter.  Each scenario is one
-``draw(rng, size)`` over an event-rate estimator, or a count table and the
-value of each count over a mean estimator.
+in which chunks finish cannot matter.  Each scenario is a count table and
+either the least count that is an event, over an event-rate estimator, or
+the value of each count, over a mean estimator.
 """
 
 from __future__ import annotations
@@ -50,23 +46,23 @@ from .probability import MAX_TABLE_COUNT, DiskFailureModel, ErasureScheme, prob_
 
 CHUNK_TRIALS = 1 << 16
 
-#: Refuse runs of more trials: 262,144 chunks, about 50 s of 8+3 loss and
-#: 2 minutes of 8+3 availability over three data centers on one core (2.9
-#: and 7.2 ns a trial on a 2-vCPU Xeon VM).  Larger requests end in a usage
-#: error, not a huge allocation.
+#: Refuse runs of more trials: 262,144 chunks, about 45 s of 8+3 loss or of
+#: 8+3 availability over three data centers on one core (2.5 and 2.6 ns a
+#: trial on a 2-vCPU Xeon VM).  Larger requests end in a usage error, not a
+#: huge allocation.
 MAX_TRIALS = 1 << 34
 
 #: Refuse probability estimates expecting fewer than this many events.
 MIN_EXPECTED_EVENTS = 10
 
-#: Draw a count table of at most this many edges (entries less one) by
-#: compare-and-add into a ``uint8`` counter, so at most 255, and a larger one
-#: by binary search.  Per 65536-trial chunk, compare-and-add costs about
-#: 11 us an edge whatever the table; binary search 0.5-2.7 ms, least on
-#: tables whose mass sits at one end.  At 64 edges compare-and-add took
-#: 0.65-0.78 ms against 0.80-2.07 ms on binomial, first-available and
-#: one-DC reachable tables; from 80 edges binary search was faster on some
-#: of them.
+#: Tally a latency histogram of at most this many edges (entries less one)
+#: by one comparison and one total per edge, a larger one by binary search
+#: and ``np.bincount``; both give the same histogram, so the bound changes
+#: no output.  Per 65536-trial chunk, comparing took 0.20 / 0.77 / 0.78 /
+#: 1.52 ms at 16 / 64 / 65 / 128 edges, about 12 us an edge on any table;
+#: searching 0.80-1.40 / 0.89-1.95 / 0.92-2.01 / 0.92-2.37 ms on binomial
+#: and first-available tables (p 0.05 and 0.5), least where the mass sits at
+#: one end, and at 128 edges it won on the first-available ones.
 MAX_COMPARE_EDGES = 64
 
 
@@ -173,6 +169,11 @@ def _first_available_pmf(sites: int, p: float) -> np.ndarray:
     return pmf
 
 
+def _cut(pmf: np.ndarray, cut: int) -> np.ndarray:
+    """X's pmf made min(X, cut)'s: the mass at ``cut`` and above moved into the last bin."""
+    return pmf if len(pmf) <= cut + 1 else np.append(pmf[:cut], pmf[cut:].sum())
+
+
 def _unreachable_pmf(count: int, copies: int, q: float, p_unavail: float,
                      cut: int) -> np.ndarray:
     """P[min(U, cut) = u], u = 0..cut at most, U the unreachable fragments of
@@ -184,24 +185,37 @@ def _unreachable_pmf(count: int, copies: int, q: float, p_unavail: float,
     ``copies`` independent DCs is its ``copies``-fold ``np.convolve`` power,
     formed by repeated squaring (the convolution method, Devroye, 1986,
     ch. XIV).  Since min(a + b, cut) = min(min(a, cut) + min(b, cut), cut),
-    every factor and product is cut at ``cut``, its mass at ``cut`` and above
-    moved into the last bin: no table has more than cut + 1 entries, and the
-    work is O(cut**2 log copies).
+    every factor and product is cut at ``cut``: no table has more than
+    cut + 1 entries, and the work is O(cut**2 log copies).
     """
-    def cut_off(pmf):
-        return pmf if len(pmf) <= cut + 1 else np.append(pmf[:cut], pmf[cut:].sum())
-
     base = (1.0 - q) * _binomial_pmf(count, p_unavail)
     base[count] += q
-    base = cut_off(base)
+    base = _cut(base, cut)
     pmf = np.ones(1)
     while True:
         if copies & 1:
-            pmf = cut_off(np.convolve(pmf, base))
+            pmf = _cut(np.convolve(pmf, base), cut)
         copies >>= 1
         if not copies:
             return pmf
-        base = cut_off(np.convolve(base, base))
+        base = _cut(np.convolve(base, base), cut)
+
+
+def _placement_unreachable_pmf(topology: Topology, placement: Placement, p_unavail: float,
+                               cut: int) -> np.ndarray:
+    """P[min(U, cut) = u], U the unreachable fragments of the whole placement.
+
+    The data centers holding fragments are grouped by (fragment count,
+    outage probability), in the order of each group's first DC; the groups'
+    ``_unreachable_pmf`` tables are convolved in that order, each product cut
+    at ``cut`` by the same identity.
+    """
+    groups = Counter((count, topology.outage_probs[dc])
+                     for dc, count in placement.dc_counts().items())
+    pmf = np.ones(1)
+    for (count, q), copies in groups.items():
+        pmf = _cut(np.convolve(pmf, _unreachable_pmf(count, copies, q, p_unavail, cut)), cut)
+    return pmf
 
 
 def _edges(pmf: np.ndarray) -> np.ndarray:
@@ -216,42 +230,20 @@ def _edges(pmf: np.ndarray) -> np.ndarray:
     return cdf[:-1] / cdf[-1]
 
 
-def _count_sampler(pmf: np.ndarray):
-    """``draw(rng, size)``: counts k with probability pmf[k], one uniform each.
-
-    Up to ``MAX_COMPARE_EDGES`` edges, each edge is one comparison over the
-    chunk added into a ``uint8`` count; beyond, a binary search per uniform.
-    The edges are non-decreasing, so both count the edges at or below u.
-    """
-    edges = _edges(pmf)
-    if len(edges) > MAX_COMPARE_EDGES:
-        return lambda rng, size: np.searchsorted(edges, rng.random(size), side="right")
-
-    def draw(rng, size):
-        uniforms = rng.random(size)
-        counts = np.zeros(size, np.uint8)
-        at_or_above = np.empty(size, bool)
-        for edge in edges:
-            np.greater_equal(uniforms, edge, out=at_or_above)
-            counts += at_or_above.view(np.uint8)
-        return counts
-
-    return draw
-
-
 def _histogram_sampler(pmf: np.ndarray):
     """``draw(rng, size)``: how many of ``size`` counts drawn from pmf are k, for each k.
 
     Up to ``MAX_COMPARE_EDGES`` edges no count is made: as many counts are
     at least k as uniforms are at or above edge k - 1, so one comparison and
-    one total per edge give the histogram as differences.  Beyond, the counts
-    come from ``_count_sampler`` and ``np.bincount``.  For the same uniforms
-    both give the histogram of ``_count_sampler``'s counts.
+    one total per edge give the histogram as differences.  Beyond, each
+    uniform's count is the number of edges at or below it, found by binary
+    search, and the counts are tallied by ``np.bincount``.  For the same
+    uniforms both give the same histogram.
     """
     edges = _edges(pmf)
     if len(edges) > MAX_COMPARE_EDGES:
-        count = _count_sampler(pmf)
-        return lambda rng, size: np.bincount(count(rng, size), minlength=len(pmf))
+        return lambda rng, size: np.bincount(
+            np.searchsorted(edges, rng.random(size), side="right"), minlength=len(pmf))
 
     def draw(rng, size):
         uniforms = rng.random(size)
@@ -274,8 +266,13 @@ def _result(trials, estimate, se, analytic, z_se=None, **counts) -> SimulationRe
                             analytic=analytic, z_score=z, **counts)
 
 
-def _event_rate(analytic, trials, seed, threads, draw) -> SimulationResult:
-    """Bernoulli estimate of how often draw's per-trial event flags are set."""
+def _event_rate(analytic, trials, seed, threads, pmf, first) -> SimulationResult:
+    """Bernoulli estimate of P[count >= first], the count drawn from ``pmf``.
+
+    A trial's count is at least ``first`` exactly when its uniform is at or
+    above the table's edge ``first - 1``, so each trial is one comparison
+    and no count is made.
+    """
     if analytic != 0.0 and analytic * trials < MIN_EXPECTED_EVENTS:
         needed = math.ceil(MIN_EXPECTED_EVENTS / analytic)
         advice = (
@@ -287,8 +284,9 @@ def _event_rate(analytic, trials, seed, threads, draw) -> SimulationResult:
             f"{MIN_EXPECTED_EVENTS} events in {trials} trials; {advice} at an "
             "inflated probability where the analytic formulas are equally exact"
         )
-    events = sum(_sample(trials, seed, threads,
-                         lambda rng, size: int(np.count_nonzero(draw(rng, size)))))
+    threshold = _edges(pmf)[first - 1]
+    events = sum(_sample(trials, seed, threads, lambda rng, size: int(
+        np.count_nonzero(rng.random(size) >= threshold))))
     estimate = events / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     # with no events or only events the estimate's own error is zero; the
@@ -334,54 +332,36 @@ def simulate_loss(
 ) -> SimulationResult:
     """Estimate the m+n data loss probability by drawing each trial's failure count.
 
-    The loss event is more than n of m+n disks dead, Binomial(m+n, p).  A
-    trial's uniform draws more than n exactly when it is at or above the
-    table's n-th edge, so each trial is one comparison and no count is made.
-    Converges to prob_loss_ec(p, m, n).
+    The loss event is more than n of m+n disks dead, Binomial(m+n, p): a
+    count of at least n + 1 from that table.  Converges to
+    prob_loss_ec(p, m, n).
     """
     _check_run_params(trials, seed, threads, m + n)
     analytic = prob_loss_ec(p, m, n)
-    threshold = _edges(_binomial_pmf(m + n, p))[n]
-    return _event_rate(analytic, trials, seed, threads,
-                       lambda rng, size: rng.random(size) >= threshold)
+    return _event_rate(analytic, trials, seed, threads, _binomial_pmf(m + n, p), n + 1)
 
 
 def simulate_availability(
     model: DiskFailureModel, topology: Topology, placement: Placement,
     trials: int, seed: int = 0, threads: int = 1,
 ) -> SimulationResult:
-    """Estimate unavailability from each group of alike data centers' unreachable count.
+    """Estimate unavailability by drawing each trial's unreachable fragment count.
 
-    The data centers holding fragments are grouped by (fragment count,
-    outage probability): which DC of a group failed does not matter to the
-    event.  Each trial draws, per group, how many of its fragments are
-    unreachable, all of a DC's when it is out, else each with p_unavail,
-    from the group's table cut at T = N - k + 1 (``_unreachable_pmf``).  The
-    event is fewer than k of the N fragments reachable (k = m, or one
-    replica for replication placements): the cut counts summing to at least
-    T, which the cut leaves exact.  Converges to placement_unavailability,
-    and to replication_unavailability for one replica per DC.
+    A fragment is unreachable when its data center is out, else with
+    p_unavail.  The event is fewer than k of the N fragments reachable
+    (k = m, or one replica for replication placements): at least
+    T = N - k + 1 unreachable, a count of at least T from the table of
+    min(U, T) that ``_placement_unreachable_pmf`` convolves from the groups
+    of alike data centers.  Converges to placement_unavailability, and to
+    replication_unavailability for one replica per DC.
     """
     _check_run_params(trials, seed, threads, len(placement.assignment))
     # raises TypeError for any scheme that is not an MDS code, and ValueError
     # for a placement outside the topology
     analytic = placement_unavailability(model, topology, placement)
     cut = len(placement.assignment) - placement.scheme.data_fragments + 1
-    # groups in the order of their first data center
-    groups = Counter((count, topology.outage_probs[dc])
-                     for dc, count in placement.dc_counts().items())
-    draws = [_count_sampler(_unreachable_pmf(count, copies, q, model.p_unavail, cut))
-             for (count, q), copies in groups.items()]
-
-    def draw(rng, size):
-        # a group's counts may be uint8; their sum may pass 255, and int32
-        # holds up to MAX_TABLE_COUNT fragments
-        unreachable = np.zeros(size, np.int32)
-        for group_draw in draws:
-            unreachable += group_draw(rng, size)
-        return unreachable >= cut
-
-    return _event_rate(analytic, trials, seed, threads, draw)
+    pmf = _placement_unreachable_pmf(topology, placement, model.p_unavail, cut)
+    return _event_rate(analytic, trials, seed, threads, pmf, cut)
 
 
 def simulate_latency(

@@ -134,6 +134,20 @@ def exact_unreachable_pmf(count: int, copies: int, q: float, p_unavail: float,
     return total[:cut] + [sum(total[cut:])] if len(total) > cut + 1 else total
 
 
+def exact_cut_sum_pmf(pmfs, cut: int) -> list[Fraction]:
+    """P[min(X_1 + ... + X_g, cut) = u] for independent X_i of the exact ``pmfs``.
+
+    Plain convolutions, one table at a time, uncut; the mass at ``cut`` and
+    above is gathered once, at the end.
+    """
+    total = [Fraction(1)]
+    for pmf in pmfs:
+        total = [sum(total[i] * pmf[u - i]
+                     for i in range(max(0, u - len(pmf) + 1), min(u, len(total) - 1) + 1))
+                 for u in range(len(total) + len(pmf) - 1)]
+    return total[:cut] + [sum(total[cut:])] if len(total) > cut + 1 else total
+
+
 def _gf256_mul(a: int, b: int) -> int:
     """a * b in GF(2^8) modulo x^8 + x^4 + x^3 + x^2 + 1, by shift and add."""
     acc = 0

@@ -52,7 +52,7 @@ for axis, rest in CURVES.items():
     ANALYTIC[f"curve {axis}"] = ["curve", "--x", axis, *rest]
     ANALYTIC[f"curve {axis} dcs latencies"] = ["curve", "--x", axis, *rest, *WITH_SITES]
 
-#: the six simulate runs of the CI job, each at one and two threads, of
+#: the seven simulate runs of the CI job, each at one and two threads, of
 #: 300,000 trials unless ``SIMULATION_TRIALS`` names the run
 SIMULATIONS = {
     "loss": ["--scenario", "loss", "--p", "0.05", "--m", "8", "--n", "3"],
@@ -62,6 +62,8 @@ SIMULATIONS = {
                              "--dcs", "305", "--q", "0.005", "--p-unavail", "0.005"],
     "availability replicas": ["--scenario", "availability", "--replicas", "3", "--dcs", "3",
                               "--q", "0.01", "--p-unavail", "0.02"],
+    "availability 200 dcs": ["--scenario", "availability", "--m", "5", "--n", "300",
+                             "--dcs", "200", "--q", "0.001", "--p-unavail", "0.98"],
     "latency-rep": ["--scenario", "latency", "--p", "0.05", "--latencies", "1,20,100"],
     "latency-ec": ["--scenario", "latency", "--p", "0.05", "--latencies", "1,100",
                    "--m", "8", "--n", "3"],
@@ -171,12 +173,14 @@ DIGESTS = {
     "curve scale dcs latencies csv": "5dfc35d625edcd6d7476bdc9ddd9df37b4b891933021271d14b784bda95acd3e",
     "simulate loss threads 1": "f9241a92e0b7d7fccba6ec6aadd9f23889b638d2b445a6b7388796856e58ed73",
     "simulate loss threads 2": "f9241a92e0b7d7fccba6ec6aadd9f23889b638d2b445a6b7388796856e58ed73",
-    "simulate availability threads 1": "95c7163851699c0f4c5921dfe18d0c65afad6273b511942c231be20c5f9ef623",
-    "simulate availability threads 2": "95c7163851699c0f4c5921dfe18d0c65afad6273b511942c231be20c5f9ef623",
+    "simulate availability threads 1": "3ef6ff38e9326b95e2f8f53cdc1d30a72768aaeb30c6436e1f9be32391cc000c",
+    "simulate availability threads 2": "3ef6ff38e9326b95e2f8f53cdc1d30a72768aaeb30c6436e1f9be32391cc000c",
     "simulate availability 305 dcs threads 1": "66cd39431725579512201763fb0ede1b3ad475af2d4a1afd80f375bde24e59af",
     "simulate availability 305 dcs threads 2": "66cd39431725579512201763fb0ede1b3ad475af2d4a1afd80f375bde24e59af",
     "simulate availability replicas threads 1": "7695ccc411f6d8dba9c7b2f13a7f3857c10e9ea452ecdc9764a962e168fa95ad",
     "simulate availability replicas threads 2": "7695ccc411f6d8dba9c7b2f13a7f3857c10e9ea452ecdc9764a962e168fa95ad",
+    "simulate availability 200 dcs threads 1": "e762a66b80c53b0bd626c428b7e62141b8c4248083990a282bcf70e92a50c73e",
+    "simulate availability 200 dcs threads 2": "e762a66b80c53b0bd626c428b7e62141b8c4248083990a282bcf70e92a50c73e",
     "simulate latency-rep threads 1": "dc3a2ab83d75acc4f3a9bb41338cfe1ae715fe05614fd39c1a68a6d817463c99",
     "simulate latency-rep threads 2": "dc3a2ab83d75acc4f3a9bb41338cfe1ae715fe05614fd39c1a68a6d817463c99",
     "simulate latency-ec threads 1": "e6dcd88de903bec6a43d5617acb7fbded9991e4aa425c1008ff818079867b823",

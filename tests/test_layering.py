@@ -11,7 +11,9 @@ only deferred import is the codec core that ``Fragment.role`` reads.  Code
 dispatches on a scheme's stated shape, not on its class: no code in ``src/``
 checks a scheme's class.
 A fragment's wire frame is its one representation, and only ``fragments``
-reads it.
+reads it.  The simulator builds its own count tables: from the analytic
+models it takes only the values it checks against, the types of its
+arguments and the count cap, so its cross-check stays independent.
 """
 
 import ast
@@ -80,6 +82,27 @@ def test_cli_imports_the_codec_and_the_simulator_only_inside_functions():
     deferred = ("durakit.codec", "durakit.simulate")
     assert within(imported_modules(*cli, module_level=True), *deferred) == set()
     assert within(imported_modules(*cli), *deferred) >= set(deferred)
+
+
+def test_the_simulator_builds_its_own_tables():
+    models = ("durakit.probability", "durakit.placement", "durakit.latency")
+    allowed = {
+        "durakit.probability.prob_loss_ec",
+        "durakit.placement.placement_unavailability",
+        "durakit.latency.expected_latency_replication",
+        "durakit.latency.ec_read_latency_expectation",
+        "durakit.probability.DiskFailureModel",
+        "durakit.probability.ErasureScheme",
+        "durakit.placement.Placement",
+        "durakit.placement.Topology",
+        "durakit.latency.LatencyProfile",
+        "durakit.probability.MAX_TABLE_COUNT",
+    }
+    names = imported_modules(PACKAGE / "simulate.py", ("durakit", "simulate"))
+    # a whole model module, ``from . import probability``, would put every
+    # helper of the analytic side within reach
+    assert "durakit" not in names
+    assert within(names, *models) - set(models) - allowed == set()
 
 
 def test_what_the_cli_loads_never_imports_numpy():

@@ -25,7 +25,15 @@ from durakit.simulate import (
     simulate_loss,
 )
 
-from oracles import exact_binomial_pmf, exact_first_available_pmf, exact_unreachable_pmf
+from oracles import (
+    exact_binomial_pmf,
+    exact_cut_sum_pmf,
+    exact_first_available_pmf,
+    exact_unreachable_pmf,
+)
+
+#: five DCs at two q; ec:8+4 puts 3, 3, 2, 2, 2 fragments on them, three groups
+FIVE_DCS = Topology(5, (0.01, 0.01, 0.05, 0.01, 0.05))
 
 
 class TestDeterminism:
@@ -192,25 +200,28 @@ class TestAvailabilityScenario:
         assert result.events > 1_000
         assert abs(result.z_score) < 4
 
-    def test_unreachable_sum_holds_more_than_255_fragments(self):
+    def test_multi_group_table_past_the_compare_bound(self):
         # ec:5+300 over 305 data centers, one fragment and a distinct q each:
-        # 305 groups whose counts must sum to T = 301 for an event, which a
-        # uint8 sum, wrapping past 255, never reaches
+        # 305 groups convolved into one table cut at T = 301, so 301 edges,
+        # past MAX_COMPARE_EDGES; an event is a uniform at or above the last
         topo = Topology(305, tuple(0.001 + 1e-5 * dc for dc in range(305)))
         placement = balanced_placement(ErasureScheme(5, 300), topo)
+        assert 301 > simulate.MAX_COMPARE_EDGES
         result = simulate_availability(DiskFailureModel(p_dead=0.0, p_unavail=0.98), topo,
                                        placement, 200_000, seed=3)
-        assert result.events == 54_460
+        assert result.events == 54_337
         assert abs(result.z_score) < 4
 
-    @pytest.mark.parametrize("scheme, topo, groups", [
+    @pytest.mark.parametrize("scheme, topo", [
         # 305 alike one-fragment DCs: one group
-        (ErasureScheme(300, 5), Topology(305, 0.005), 1),
+        (ErasureScheme(300, 5), Topology(305, 0.005)),
         # 3, 3, 2, 2, 2 fragments: groups (3, 0.01) x 2, (2, 0.05) x 2, (2, 0.01)
-        (ErasureScheme(8, 4), Topology(5, (0.01, 0.01, 0.05, 0.01, 0.05)), 3),
-    ], ids=["ec:300+5 over 305 DCs", "ec:8+4 over 5 DCs at two q"])
-    def test_one_uniform_per_group_of_alike_data_centers(self, scheme, topo, groups,
-                                                          monkeypatch):
+        (ErasureScheme(8, 4), FIVE_DCS),
+        # 305 one-fragment DCs, no two alike: 305 groups
+        (ErasureScheme(300, 5), Topology(305, tuple(0.005 + 1e-5 * dc for dc in range(305)))),
+    ], ids=["ec:300+5 over 305 DCs", "ec:8+4 over 5 DCs at two q",
+            "ec:300+5 over 305 DCs at distinct q"])
+    def test_one_uniform_per_trial(self, scheme, topo, monkeypatch):
         calls = []
 
         class CountingRng:
@@ -226,7 +237,7 @@ class TestAvailabilityScenario:
         model = DiskFailureModel(p_dead=0.0, p_unavail=0.02)
         placement = balanced_placement(scheme, topo)
         result = simulate_availability(model, topo, placement, simulate.CHUNK_TRIALS, seed=43)
-        assert calls == [simulate.CHUNK_TRIALS] * groups
+        assert calls == [simulate.CHUNK_TRIALS]
         assert result.analytic == placement_unavailability(model, topo, placement)
         assert abs(result.z_score) < 4
 
@@ -428,10 +439,8 @@ class TestEngine:
 
 def drawn_histogram(pmf, seed, chunks=4):
     """Counts drawn from ``pmf`` over a few chunks of the engine's streams."""
-    draw = simulate._count_sampler(pmf)
     return sum(simulate._sample(chunks * simulate.CHUNK_TRIALS, seed, 1,
-                                lambda rng, size: np.bincount(draw(rng, size),
-                                                              minlength=len(pmf))))
+                                simulate._histogram_sampler(pmf)))
 
 
 def assert_histogram_matches(histogram, exact):
@@ -472,6 +481,13 @@ TABLES = {
                                lambda: exact_unreachable_pmf(1, 3, 0.01, 0.02, 3)),
     "availability 5 DCs x 2, cut binds": (lambda: simulate._unreachable_pmf(2, 5, 0.1, 0.2, 6),
                                           lambda: exact_unreachable_pmf(2, 5, 0.1, 0.2, 6)),
+    # the availability event's table: the groups' tables convolved, cut at T
+    "availability 8+4 over 5 DCs at two q, T = 5": (
+        lambda: simulate._placement_unreachable_pmf(
+            FIVE_DCS, balanced_placement(ErasureScheme(8, 4), FIVE_DCS), 0.02, 5),
+        lambda: exact_cut_sum_pmf([exact_unreachable_pmf(3, 2, 0.01, 0.02, 5),
+                                   exact_unreachable_pmf(2, 2, 0.05, 0.02, 5),
+                                   exact_unreachable_pmf(2, 1, 0.01, 0.02, 5)], 5)),
 }
 
 DEGENERATE_TABLES = {
@@ -498,9 +514,9 @@ DEGENERATE_TABLES = {
 }
 
 
-# every table above, binomial tables of the compare-and-add bound's edges
-# and one more, either side of the switch to binary search, and a group
-# table beyond the bound
+# every table above, binomial tables of the histogram's compare bound's
+# edges and one more, either side of the switch to binary search, and a
+# group table beyond the bound
 AGREEMENT_TABLES = {
     **{name: table for name, (table, _) in {**TABLES, **DEGENERATE_TABLES}.items()},
     **{f"binomial {edges} edges p={p}": lambda edges=edges, p=p: simulate._binomial_pmf(edges, p)
@@ -549,25 +565,17 @@ class TestCountTables:
         assert_histogram_matches(drawn_histogram(pmf, seed=6, chunks=2), exact())
 
     @pytest.mark.parametrize("name", AGREEMENT_TABLES)
-    def test_drawn_counts_equal_binary_search_count_for_count(self, name):
+    def test_histogram_equals_bincount_of_binary_search(self, name):
+        # per-edge totals within the bound, the sampler's own search beyond:
+        # both must be the histogram of each uniform's count of edges at or
+        # below it, on uniforms at, just below and just above every edge
         table = AGREEMENT_TABLES[name]()
         cdf = np.cumsum(table)
         edges = cdf[:-1] / cdf[-1]
         uniforms = edge_uniforms(edges)
-        counts = simulate._count_sampler(table)(StubRng(uniforms), len(uniforms))
-        np.testing.assert_array_equal(counts, np.searchsorted(edges, uniforms, side="right"))
-        small = len(edges) <= simulate.MAX_COMPARE_EDGES
-        assert (counts.dtype == np.uint8) == small, (len(edges), counts.dtype)
-
-    @pytest.mark.parametrize("name", AGREEMENT_TABLES)
-    def test_histogram_equals_bincount_of_the_counts(self, name):
-        # per-edge totals within the bound, bincount beyond: both must be
-        # the histogram of _count_sampler's counts for the same uniforms
-        table = AGREEMENT_TABLES[name]()
-        uniforms = edge_uniforms(simulate._edges(table))
         histogram = simulate._histogram_sampler(table)(StubRng(uniforms), len(uniforms))
-        counts = simulate._count_sampler(table)(StubRng(uniforms), len(uniforms))
-        np.testing.assert_array_equal(histogram, np.bincount(counts, minlength=len(table)))
+        np.testing.assert_array_equal(histogram, np.bincount(
+            np.searchsorted(edges, uniforms, side="right"), minlength=len(table)))
         assert histogram.sum() == len(uniforms)
 
     @pytest.mark.parametrize("p, m, n", [(0.3, 4, 2), (0.05, 8, 3), (0.4, 2, 0), (0.6, 60, 30)])
@@ -619,7 +627,7 @@ class TestSeededStreams:
         result = simulate_availability(
             DiskFailureModel(p_dead=0.0, p_unavail=0.05), topo,
             balanced_placement(ErasureScheme(4, 2), topo), 200_000, seed=2026)
-        assert result.events == 7_038
+        assert result.events == 7_183
 
     def test_latency_replication(self):
         result = simulate_latency(LatencyProfile((1.0, 20.0, 100.0)), 0.05, 200_000,
