@@ -578,7 +578,23 @@ class TestCountTables:
             np.searchsorted(edges, uniforms, side="right"), minlength=len(table)))
         assert histogram.sum() == len(uniforms)
 
-    @pytest.mark.parametrize("p, m, n", [(0.3, 4, 2), (0.05, 8, 3), (0.4, 2, 0), (0.6, 60, 30)])
+    @pytest.mark.parametrize("name", AGREEMENT_TABLES)
+    def test_event_comparison_equals_binary_search_count_at_every_threshold(
+            self, name, monkeypatch):
+        # the one comparison per trial that loss and availability make must
+        # count exactly the uniforms whose count of edges at or below them is
+        # at least ``first``, for every ``first`` the table can ask about
+        table = AGREEMENT_TABLES[name]()
+        cdf = np.cumsum(table)
+        edges = cdf[:-1] / cdf[-1]
+        uniforms = edge_uniforms(edges)
+        counts = np.searchsorted(edges, uniforms, side="right")
+        monkeypatch.setattr(simulate.np.random, "Generator", lambda bits: StubRng(uniforms))
+        for first in range(1, len(table)):
+            result = simulate._event_rate(0.0, len(uniforms), 0, 1, table, first)
+            assert result.events == np.count_nonzero(counts >= first), first
+
+    @pytest.mark.parametrize("p, m, n",[(0.3, 4, 2), (0.05, 8, 3), (0.4, 2, 0), (0.6, 60, 30)])
     def test_loss_threshold_equals_binary_search_count_for_count(self, p, m, n, monkeypatch):
         cdf = np.cumsum(simulate._binomial_pmf(m + n, p))
         edges = cdf[:-1] / cdf[-1]
