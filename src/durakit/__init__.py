@@ -13,6 +13,7 @@ without ``--dcs`` never load numpy.
 
 from importlib import import_module as _import_module
 
+from .answers import scheme_answers
 from .errors import (
     ChecksumError,
     CodecError,

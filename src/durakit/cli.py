@@ -1,10 +1,12 @@
 """Command line front end: plan, compare, simulate, codec, curve.
 
 Every number printed here comes from calling a library operation with the
-same arguments; the CLI only parses, dispatches, and serializes.  The codec
-and the simulator, which load numpy, are imported inside the code that uses
-them, so ``plan``, ``compare`` and ``curve`` without ``--dcs`` start without
-either.
+same arguments; the CLI only parses, dispatches, and serializes.  Each scheme
+row that ``plan``, ``compare`` and ``curve`` print is one call of
+``answers.scheme_answers``; ``compare`` adds only what sets its rows against
+each other (``space_ratio`` and the storage note).  The codec and the
+simulator, which load numpy, are imported inside the code that uses them, so
+``plan``, ``compare`` and ``curve`` without ``--dcs`` start without either.
 
 Exit codes: 0 success, 2 usage or file system error, 3 solver/guard/check failure,
 4 unusable fragment set (insufficient, inconsistent, or unrecoverable),
@@ -25,13 +27,10 @@ from pathlib import Path
 
 import click
 
+from .answers import scheme_answers
 from .errors import ChecksumError, CodecError, DurakitError, MalformedFragmentError
-from .latency import LatencyProfile, approx_latency_ec
-from .placement import (
-    Topology,
-    balanced_placement,
-    placement_unavailability,
-)
+from .latency import LatencyProfile
+from .placement import Topology, balanced_placement
 from .probability import (
     DEFAULT_PARITY_CAP,
     LRC_6_2_2,
@@ -39,11 +38,7 @@ from .probability import (
     DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
-    meets_target,
     parity_needed,
-    prob_any_failure,
-    prob_loss_ec,
-    redundancy_factor,
     replicas_needed,
 )
 
@@ -259,62 +254,11 @@ def plan(settings: Settings, mode, epsilon, p, m, max_n):
         scheme = ErasureScheme(m, parity_needed(epsilon, p, m, cap=max_n))
     else:
         scheme = ReplicationScheme(replicas_needed(epsilon, p))
+    row = scheme_answers(scheme, p)
     _emit(settings, {  # the scheme's fields name its shape: m and n, or k
         "mode": mode, "epsilon": epsilon, "p": p, **asdict(scheme),
-        "loss": _loss(scheme, p), "redundancy_factor": redundancy_factor(scheme),
+        "loss": row["loss"], "redundancy_factor": row["redundancy_factor"],
     })
-
-
-def _loss(scheme, p: float) -> float:
-    # replication is the RS 1+(k-1) code with k = 1, so one formula serves both
-    k = scheme.data_fragments
-    return prob_loss_ec(p, k, scheme.fragment_count - k)
-
-
-def _comparison_row(
-    scheme,
-    p: float,
-    epsilon: float | None,
-    topology: Topology | None,
-    p_unavail: float | None,
-    profile: LatencyProfile | None,
-) -> dict:
-    if not scheme.mds:
-        raise click.UsageError(
-            f"only replication and m+n schemes can be compared, got {scheme.label}"
-        )
-    p_u = p_unavail if p_unavail is not None else p
-    loss = _loss(scheme, p)
-
-    unavailability = None
-    repair_remote = None
-    if topology is not None:
-        model = DiskFailureModel(p_dead=min(p, p_u), p_unavail=p_u)
-        placement = balanced_placement(scheme, topology)
-        unavailability = placement_unavailability(model, topology, placement)
-        if scheme.fragment_count > 1:
-            from .codec import repair_plan
-
-            repair_remote = repair_plan(placement, 0).remote_transfers
-    latency = None
-    if profile is not None:
-        if profile.site_count < 2:
-            raise click.UsageError("latency profiles need at least two sites")
-        l1, l2 = profile.latencies[0], profile.latencies[1]
-        latency = approx_latency_ec(l1, l2, p_u, scheme.data_fragments)
-
-    row = {
-        "scheme": scheme.label,
-        "redundancy_factor": redundancy_factor(scheme),
-        "loss": loss,
-        "unavailability": unavailability,
-        "recoverable_failure": prob_any_failure(p, scheme.fragment_count),
-        "expected_latency": latency,
-        "repair_remote": repair_remote,
-    }
-    if epsilon is not None:
-        row["meets_target"] = meets_target(loss, epsilon)
-    return row
 
 
 def _comparison_options(fn):
@@ -349,9 +293,7 @@ def compare(settings: Settings, p, epsilon, schemes, dcs, q, p_unavail, latencie
     topology = Topology(dcs, q) if dcs is not None else None
     profile = _parse_latencies(latencies) if latencies else None
 
-    rows = [
-        _comparison_row(s, p, epsilon, topology, p_unavail, profile) for s in parsed
-    ]
+    rows = [scheme_answers(s, p, epsilon, topology, p_unavail, profile) for s in parsed]
     max_kc = max(row["redundancy_factor"] for row in rows)
     for row in rows:
         row["space_ratio"] = row["redundancy_factor"] / max_kc
@@ -575,8 +517,8 @@ def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
             changes = {name: x * getattr(scheme, name) if axis == "scale" else x
                        for name in fields if hasattr(scheme, name)}
             swept = replace(scheme, **changes) if changes else scheme
-            row = _comparison_row(_bounded(swept), p_eff, epsilon, topology,
-                                  p_unavail, profile)
+            row = scheme_answers(_bounded(swept), p_eff, epsilon, topology,
+                                 p_unavail, profile)
             rows.append({"x": x, **row})
     _emit(settings, {"rows": rows}, default_fmt="csv")
 

@@ -227,9 +227,6 @@ def _scheme_wire_params(scheme) -> tuple[int, int, int]:
     return SCHEME_TAG_RS, k, count - k
 
 
-LRC_GROUP_DESCRIPTOR = _scheme_wire_params(LRC_6_2_2)[2]
-
-
 def fragment_to_bytes(fragment: Fragment) -> bytes:
     """The fragment's wire frame, which it keeps."""
     return fragment._frame

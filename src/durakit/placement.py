@@ -62,12 +62,6 @@ class Placement:
             if not isinstance(dc, int) or dc < 0:
                 raise ValueError(f"dc ids must be non-negative integers, got {dc!r}")
 
-    def dc_of(self, index: int) -> int:
-        return self.assignment[index]
-
-    def max_dc(self) -> int:
-        return max(self.assignment)
-
     def dc_counts(self) -> dict[int, int]:
         """Fragment count of each data center that holds any, in dc order."""
         return dict(sorted(Counter(self.assignment).items()))
@@ -148,10 +142,10 @@ def placement_unavailability(
     if not getattr(scheme, "mds", False):
         raise TypeError(f"unavailability needs an MDS code, got {scheme!r}")
     d = topology.dc_count
-    if placement.max_dc() >= d:
+    max_dc = max(placement.assignment)
+    if max_dc >= d:
         raise ValueError(
-            f"placement references dc {placement.max_dc()} outside topology "
-            f"of {d} data centers"
+            f"placement references dc {max_dc} outside topology of {d} data centers"
         )
 
     # up[u]: probability that the DCs which are up hold u fragments; each DC

@@ -201,10 +201,10 @@ def scalar_repair_sources(code, placement, failed: int, unavailable) -> list[int
     gone = {failed, *unavailable}
     if code.local_sets and gone.isdisjoint(code.local_sets[failed]):
         return list(code.local_sets[failed])
-    failed_dc = placement.dc_of(failed)
+    failed_dc = placement.assignment[failed]
     survivors = sorted(
         (i for i in range(code.count) if i not in gone),
-        key=lambda i: (placement.dc_of(i) != failed_dc, i),
+        key=lambda i: (placement.assignment[i] != failed_dc, i),
     )
     if code.mds:
         return survivors[: code.k] if len(survivors) >= code.k else None

@@ -229,6 +229,15 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--p", "0.01", "--scheme", "rep:3"])
         assert result.exit_code == 2
 
+    def test_bad_p_unavail_is_named_as_p_unavail(self, runner):
+        # the model's p_dead is no option, so an error must not name it
+        result = runner.invoke(main, ["compare", "--p", "0.01", "--p-unavail", "-0.1",
+                                      "--scheme", "rep:3", "--scheme", "ec:8+3",
+                                      "--dcs", "3"])
+        assert result.exit_code == 2
+        assert "p_unavail must be within [0, 1], got -0.1" in result.stderr
+        assert "p_dead" not in result.stderr
+
     def test_nine_dcs_are_exact(self, runner):
         from durakit.placement import (
             Topology,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from durakit.codec import gf256, lrc
 from durakit.codec.fragments import (
-    LRC_GROUP_DESCRIPTOR,
     MAGIC,
     Fragment,
     FragmentRole,
@@ -268,7 +267,7 @@ def ecfr_frames(draw):
     tag = _mostly(draw, st.sampled_from([1, 2]), byte)
     if tag == 2:
         p1 = _mostly(draw, st.just(6), byte)
-        p2 = _mostly(draw, st.just(LRC_GROUP_DESCRIPTOR), byte)
+        p2 = _mostly(draw, st.just(0x22), byte)
     else:
         p1 = _mostly(draw, st.integers(1, 8), byte)
         p2 = _mostly(draw, st.integers(0, 3), byte)

@@ -2,10 +2,14 @@
 
 The analytic layer (probability, placement, latency, simulate) reads a
 scheme's own shape and never imports the codec; only the codec itself, the
-CLI and the package's public re-exports in ``durakit/__init__.py`` do.
-The modules ``import durakit.cli`` loads never import numpy, and the CLI
-imports the codec and the simulator, which do, only inside the functions
-that use them; ``durakit/__init__.py`` binds their names on first access.
+CLI, the answer builder (for its repair column) and the package's public
+re-exports in ``durakit/__init__.py`` do.
+The modules ``import durakit.cli`` loads never import numpy, and the CLI and
+the answer builder import the codec and the simulator, which do, only inside
+the functions that use them; ``durakit/__init__.py`` binds their names on
+first access.  The CLI takes every analytic value from the answer builder:
+from the model modules it imports only types, constants, the sizing solvers
+and the placement ``simulate`` hands to the simulator.
 Within the codec, ``fragments`` imports the schemes at module level, so its
 only deferred import is the codec core that ``Fragment.role`` reads.  Code
 dispatches on a scheme's stated shape, not on its class: no code in ``src/``
@@ -14,14 +18,18 @@ A fragment's wire frame is its one representation, and only ``fragments``
 reads it.  The simulator builds its own count tables: from the analytic
 models it takes only the values it checks against, the types of its
 arguments and the count cap, so its cross-check stays independent.
+Every top-level name is needed: something in ``src/`` refers to it, the
+README documents it, or a short allowlist here says why it stays.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "durakit"
 SCHEME_CLASSES = {"ReplicationScheme", "ErasureScheme", "LrcScheme"}
+MODELS = ("durakit.probability", "durakit.placement", "durakit.latency")
 
 
 def modules():
@@ -61,7 +69,7 @@ def imported_modules(path, parts, module_level=False):
 
 
 def test_only_the_codec_cli_and_package_root_import_the_codec():
-    allowed = {("durakit", "cli"), ("durakit", "__init__")}
+    allowed = {("durakit", "cli"), ("durakit", "answers"), ("durakit", "__init__")}
     offenders = {
         ".".join(parts): sorted(
             name for name in imported_modules(path, parts)
@@ -84,8 +92,40 @@ def test_cli_imports_the_codec_and_the_simulator_only_inside_functions():
     assert within(imported_modules(*cli), *deferred) >= set(deferred)
 
 
+def test_the_answer_builder_imports_the_codec_only_inside_functions():
+    answers = PACKAGE / "answers.py", ("durakit", "answers")
+    deferred = ("durakit.codec", "durakit.simulate")
+    assert within(imported_modules(*answers, module_level=True), *deferred) == set()
+    assert within(imported_modules(*answers), *deferred) == {
+        "durakit.codec", "durakit.codec.repair_plan",
+    }
+
+
+def test_the_cli_takes_every_analytic_value_from_the_builder():
+    allowed = {
+        # types of the arguments the CLI parses and hands on
+        "durakit.probability.ReplicationScheme",
+        "durakit.probability.ErasureScheme",
+        "durakit.probability.LRC_6_2_2",
+        "durakit.probability.DiskFailureModel",
+        "durakit.placement.Topology",
+        "durakit.latency.LatencyProfile",
+        # option bounds
+        "durakit.probability.MAX_TABLE_COUNT",
+        "durakit.probability.DEFAULT_PARITY_CAP",
+        # plan sizes a scheme before the builder answers for it
+        "durakit.probability.parity_needed",
+        "durakit.probability.replicas_needed",
+        # the placement simulate hands to the simulator
+        "durakit.placement.balanced_placement",
+    }
+    names = imported_modules(PACKAGE / "cli.py", ("durakit", "cli"))
+    assert "durakit" not in names
+    assert "durakit.answers.scheme_answers" in names
+    assert within(names, *MODELS) - set(MODELS) - allowed == set()
+
+
 def test_the_simulator_builds_its_own_tables():
-    models = ("durakit.probability", "durakit.placement", "durakit.latency")
     allowed = {
         "durakit.probability.prob_loss_ec",
         "durakit.placement.placement_unavailability",
@@ -102,11 +142,11 @@ def test_the_simulator_builds_its_own_tables():
     # a whole model module, ``from . import probability``, would put every
     # helper of the analytic side within reach
     assert "durakit" not in names
-    assert within(names, *models) - set(models) - allowed == set()
+    assert within(names, *MODELS) - set(MODELS) - allowed == set()
 
 
 def test_what_the_cli_loads_never_imports_numpy():
-    for name in ("errors", "probability", "placement", "latency"):
+    for name in ("answers", "errors", "probability", "placement", "latency"):
         path = PACKAGE / f"{name}.py"
         assert within(imported_modules(path, ("durakit", name)), "numpy") == set(), name
 
@@ -166,3 +206,64 @@ def test_only_fragments_reads_a_fragment_frame():
         if isinstance(node, ast.Attribute) and node.attr == "_frame"
     }
     assert readers == {"durakit.codec.fragments"}
+
+
+#: top-level names that stay although nothing in ``src/`` refers to them and
+#: the README does not name them -> why they stay
+NEEDED_ELSEWHERE = {
+    "durakit.codec.gf256.mul_bytes": "perfbench/tracer.py wraps it",
+    "durakit.codec.gf256.addmul_bytes": "perfbench's addmul and xor probes time it",
+    "durakit.codec.gf256.matrix_rank": "perfbench's rank probe times it",
+    "durakit.codec.gf256.matrix_invert": "perfbench's invert probes time it",
+    "durakit.codec.lrc.GLOBAL_PARITY_INDICES": "perfbench loses LRC globals by it",
+    "durakit.codec.lrc.DEFAULT_DC_ASSIGNMENT": "perfbench places the LRC by it",
+}
+
+
+def defined_names(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+def referenced_names(statement):
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def registered_by_decorator(statement):
+    """A click command or group, which click, not a caller, reaches."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in getattr(statement, "decorator_list", ())
+    )
+
+
+def test_every_top_level_name_is_needed():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    statements = [
+        (".".join(parts).removesuffix(".__init__"), statement)
+        for path, parts in modules()
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    # a name's own definition, a recursive call included, is no reference to it
+    references = [(statement, referenced_names(statement)) for _, statement in statements]
+    unneeded = {
+        f"{module}.{name}"
+        for module, statement in statements
+        if not registered_by_decorator(statement)
+        for name in defined_names(statement)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(name in names for other, names in references if other is not statement)
+        and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)
+    }
+    assert unneeded == set(NEEDED_ELSEWHERE)

@@ -19,7 +19,7 @@ EXPORTS = {
     "InsufficientFragmentsError", "LRC_6_2_2", "LatencyProfile", "LrcScheme",
     "MalformedFragmentError", "Placement", "RareEventError", "RecoverabilityReport",
     "RepairPlan", "ReplicationScheme", "SimulationResult", "SolverBoundError", "Topology",
-    "UnrecoverableError", "approx_latency_ec", "approx_latency_replication",
+    "UnrecoverableError", "answers", "approx_latency_ec", "approx_latency_replication",
     "balanced_placement", "binomial_tail", "codec", "ec_read_latency_expectation",
     "ec_unavailability", "errors", "expected_latency_replication",
     "gaussian_parity_estimate", "gaussian_tail_loss", "latency", "lrc_decode",
@@ -28,7 +28,7 @@ EXPORTS = {
     "prob_any_failure", "prob_loss_ec", "prob_loss_replication", "probability",
     "read_fragment", "recoverability_report", "redundancy_factor", "repair_plan",
     "replicas_needed", "replication_unavailability", "rs_decode", "rs_encode",
-    "simulate", "simulate_availability", "simulate_latency", "simulate_loss",
+    "scheme_answers", "simulate", "simulate_availability", "simulate_latency", "simulate_loss",
     "write_fragment",
 }
 

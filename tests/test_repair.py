@@ -151,10 +151,10 @@ def rank_loop_sources(code, placement, failed, unavailable):
     span, then each one that can be spared dropped, in order.
     """
     gone = {failed, *unavailable}
-    failed_dc = placement.dc_of(failed)
+    failed_dc = placement.assignment[failed]
     survivors = sorted(
         (i for i in range(code.count) if i not in gone),
-        key=lambda i: (placement.dc_of(i) != failed_dc, i),
+        key=lambda i: (placement.assignment[i] != failed_dc, i),
     )
     chosen = set()
 
