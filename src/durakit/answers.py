@@ -10,6 +10,7 @@ from .latency import LatencyProfile, approx_latency_ec
 from .placement import Topology, balanced_placement, placement_unavailability
 from .probability import (
     DiskFailureModel,
+    _check_prob,
     meets_target,
     prob_any_failure,
     prob_loss_ec,
@@ -25,20 +26,23 @@ def scheme_answers(scheme, p: float, epsilon: float | None = None,
     ``p`` is the per-disk dead probability; ``p_unavail`` defaults to it.  A
     column whose input is not given (a topology for unavailability and repair,
     a profile for latency) is ``None``, and ``meets_target`` needs ``epsilon``.
-    A scheme that is not MDS, or a one-site profile, raises ``ValueError``.
+    A scheme that is not MDS, a one-site profile, or an ``epsilon`` or
+    ``p_unavail`` out of range, asked for or not, raises ``ValueError``.
     """
     if not scheme.mds:
         raise ValueError("only replication and m+n schemes can be compared, "
                          f"got {scheme.label}")
+    if epsilon is not None:
+        _check_prob("epsilon", epsilon, exclusive=True)
     p_u = p_unavail if p_unavail is not None else p
     # replication is the RS 1+(k-1) code with k = 1, so one formula serves both
     k = scheme.data_fragments
     loss = prob_loss_ec(p, k, scheme.fragment_count - k)
+    # unavailability reads only p_unavail, which the model checks
+    model = DiskFailureModel(p_dead=0.0, p_unavail=p_u)
 
     unavailability = repair_remote = latency = None
     if topology is not None:
-        # unavailability reads only p_unavail
-        model = DiskFailureModel(p_dead=0.0, p_unavail=p_u)
         placement = balanced_placement(scheme, topology)
         unavailability = placement_unavailability(model, topology, placement)
         if scheme.fragment_count > 1:

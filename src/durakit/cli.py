@@ -38,6 +38,7 @@ from .probability import (
     DiskFailureModel,
     ErasureScheme,
     ReplicationScheme,
+    _check_prob,
     parity_needed,
     replicas_needed,
 )
@@ -290,6 +291,7 @@ def compare(settings: Settings, p, epsilon, schemes, dcs, q, p_unavail, latencie
     if len(schemes) < 2:
         raise click.UsageError("need at least two --scheme options to compare")
     parsed = [parse_scheme(s) for s in schemes]
+    _check_prob("q", q)  # with --dcs or without
     topology = Topology(dcs, q) if dcs is not None else None
     profile = _parse_latencies(latencies) if latencies else None
 
@@ -512,6 +514,7 @@ def curve(settings: Settings, axis, values, schemes, p, epsilon, dcs, q,
     for x in points:
         p_eff = x if axis == "p" else p
         q_eff = x if axis == "q" else q
+        _check_prob("q", q_eff)  # with --dcs or without
         topology = Topology(dcs, q_eff) if dcs is not None else None
         for scheme in parsed:
             changes = {name: x * getattr(scheme, name) if axis == "scale" else x

@@ -212,25 +212,19 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
     payloads = [
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
-    parities = gf256.combine(rows[k:], payloads, code.parity_lanes)
-    payloads += [parity.tobytes() for parity in parities]
+    payloads += map(bytes, _combine(rows[k:], payloads, code.parity_lanes))
     return Fragment._framed(
         object_id, code.scheme, length, enumerate(payloads), map(zlib.crc32, payloads)
     )
 
 
-def _combine(matrix, sources) -> Sequence:
-    """The rows of ``gf256.combine(matrix, sources)``.  On the long path a unit
-    row, a single 1 and no other nonzero, is its source itself: no field
-    work and no copy, for a replica or a shard solved from one."""
-    if len(sources[0]) < gf256.LONG_MIN_BYTES:
-        return gf256.combine(matrix, sources)
-    units = []
-    for row in matrix:
-        nonzero = [j for j, coeff in enumerate(row) if coeff]
-        units.append(nonzero[0] if len(nonzero) == 1 and row[nonzero[0]] == 1 else None)
-    combined = iter(gf256.combine([r for r, j in zip(matrix, units) if j is None], sources))
-    return [sources[j] if j is not None else next(combined) for j in units]
+def _combine(matrix, sources, lanes=None) -> Sequence:
+    """The rows of ``gf256.combine(matrix, sources, lanes)``.  A replica, a
+    row of one source with coefficient 1, is that source itself at any size:
+    no field work and no copy, for an encode or a shard solved from one."""
+    if len(sources) == 1 and all(row[0] == 1 for row in matrix):
+        return [sources[0]] * len(matrix)
+    return gf256.combine(matrix, sources, lanes)
 
 
 def _collect(code: LinearCode, fragments: list[Fragment]) -> dict[int, Fragment]:

@@ -25,9 +25,6 @@ class RecoverabilityReport:
     scheme_label: str
     rows: tuple[RecoverabilityRow, ...]
 
-    def row(self, failures: int) -> RecoverabilityRow:
-        return self.rows[failures]
-
 
 def recoverability_report(scheme, max_t: int) -> RecoverabilityReport:
     """Fraction of failure patterns of each size 0..max_t that lose no data.
@@ -54,10 +51,6 @@ class RepairPlan:
     source_dcs: tuple[int, ...]
     local_transfers: int
     remote_transfers: int
-
-    @property
-    def total_transfers(self) -> int:
-        return self.local_transfers + self.remote_transfers
 
 
 def repair_plan(

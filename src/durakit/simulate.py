@@ -22,11 +22,12 @@ Determinism contract: identical (seed, trials, scenario parameters) produce
 identical results under any thread count.  Trials are processed in fixed
 65536-trial chunks, each driven by its own SFC64 stream, seeded from
 ``SeedSequence(seed, spawn_key=(chunk index,))``: the chunk-th child of the
-run's seed, built directly, of which only ``random()`` is used.  Per-chunk
-partials are reduced exactly (integer sums and ``math.fsum``), so the order
-in which chunks finish cannot matter.  Each scenario is a count table and
-either the least count that is an event, over an event-rate estimator, or
-the value of each count, over a mean estimator.
+run's seed, built directly.  ``_sample`` draws each chunk's uniforms by one
+``random()`` call, the only use of a stream, and a scenario's count reads
+those uniforms alone.  Per-chunk partials are reduced exactly (integer sums
+and ``math.fsum``), so the order in which chunks finish cannot matter.  Each
+scenario is a count table and either the least count that is an event, over
+an event-rate estimator, or the value of each count, over a mean estimator.
 """
 
 from __future__ import annotations
@@ -102,15 +103,14 @@ def _check_run_params(trials: int, seed: int, threads: int, counts: int) -> None
                          f"MAX_TABLE_COUNT = {MAX_TABLE_COUNT}")
 
 
-def _sample(trials: int, seed: int, threads: int, draw) -> list:
-    """``draw(rng, size)`` for every chunk, each on its own SFC64 stream.
+def _sample(trials: int, seed: int, threads: int, count) -> list:
+    """``count(uniforms)`` for every chunk, its uniforms one ``random()`` call.
 
     A chunk's stream is seeded by ``SeedSequence(seed, spawn_key=(chunk,))``,
     the child ``SeedSequence(seed).spawn(chunk + 1)[chunk]``, built without
-    the ones before it.  The spawn key is
-    hashed apart from the entropy: ``SeedSequence([seed, chunk])`` would not
-    do, because it zero-pads short entropy, so (5 + 3 * 2**32, 0) and (5, 3)
-    would share a stream.
+    the ones before it.  The spawn key is hashed apart from the entropy:
+    ``SeedSequence([seed, chunk])`` would not do, because it zero-pads short
+    entropy, so (5 + 3 * 2**32, 0) and (5, 3) would share a stream.
 
     Chunk indices are dealt round-robin to the workers, one pool job each, so
     ``threads`` caps the jobs in flight.  Partials come back worker by worker,
@@ -130,7 +130,8 @@ def _sample(trials: int, seed: int, threads: int, draw) -> list:
                     break
                 rng = np.random.Generator(np.random.SFC64(
                     np.random.SeedSequence(seed, spawn_key=(chunk,))))
-                parts.append(draw(rng, min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)))
+                size = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
+                parts.append(count(rng.random(size)))
         except BaseException:
             stop.set()
             raise
@@ -231,7 +232,7 @@ def _edges(pmf: np.ndarray) -> np.ndarray:
 
 
 def _histogram_sampler(pmf: np.ndarray):
-    """``draw(rng, size)``: how many of ``size`` counts drawn from pmf are k, for each k.
+    """``count(uniforms)``: how many of the uniforms draw count k from pmf, for each k.
 
     Up to ``MAX_COMPARE_EDGES`` edges no count is made: as many counts are
     at least k as uniforms are at or above edge k - 1, so one comparison and
@@ -242,19 +243,18 @@ def _histogram_sampler(pmf: np.ndarray):
     """
     edges = _edges(pmf)
     if len(edges) > MAX_COMPARE_EDGES:
-        return lambda rng, size: np.bincount(
-            np.searchsorted(edges, rng.random(size), side="right"), minlength=len(pmf))
+        return lambda uniforms: np.bincount(
+            np.searchsorted(edges, uniforms, side="right"), minlength=len(pmf))
 
-    def draw(rng, size):
-        uniforms = rng.random(size)
-        at_or_above = np.empty(size, bool)
-        at_least = [size]
+    def count(uniforms):
+        at_or_above = np.empty(len(uniforms), bool)
+        at_least = [len(uniforms)]
         for edge in edges:
             np.greater_equal(uniforms, edge, out=at_or_above)
             at_least.append(np.count_nonzero(at_or_above))
         return -np.diff(at_least, append=0)
 
-    return draw
+    return count
 
 
 def _result(trials, estimate, se, analytic, z_se=None, **counts) -> SimulationResult:
@@ -285,8 +285,8 @@ def _event_rate(analytic, trials, seed, threads, pmf, first) -> SimulationResult
             "inflated probability where the analytic formulas are equally exact"
         )
     threshold = _edges(pmf)[first - 1]
-    events = sum(_sample(trials, seed, threads, lambda rng, size: int(
-        np.count_nonzero(rng.random(size) >= threshold))))
+    events = sum(_sample(trials, seed, threads,
+                         lambda uniforms: int(np.count_nonzero(uniforms >= threshold))))
     estimate = events / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     # with no events or only events the estimate's own error is zero; the

@@ -1,6 +1,7 @@
 """``answers.scheme_answers``: each column is one call of its library operation."""
 
 import itertools
+import re
 
 import pytest
 
@@ -80,3 +81,15 @@ def test_a_code_that_is_not_mds_is_refused():
 def test_a_one_site_profile_is_refused():
     with pytest.raises(ValueError, match="at least two sites"):
         scheme_answers(ErasureScheme(8, 3), 0.005, profile=LatencyProfile((5.0,)))
+
+
+@pytest.mark.parametrize("condition, message", [
+    (dict(epsilon=0.0), "epsilon must be strictly between 0 and 1, got 0.0"),
+    (dict(epsilon=float("nan")), "epsilon must be strictly between 0 and 1, got nan"),
+    (dict(p_unavail=1.5), "p_unavail must be within [0, 1], got 1.5"),
+    (dict(p_unavail=-0.1), "p_unavail must be within [0, 1], got -0.1"),
+], ids=["epsilon 0", "epsilon nan", "p_unavail 1.5", "p_unavail -0.1"])
+def test_an_input_out_of_range_is_refused_without_its_column(condition, message):
+    # no topology or profile asks for a column p_unavail feeds
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scheme_answers(ErasureScheme(8, 3), 0.005, **condition)

@@ -238,6 +238,21 @@ class TestCompare:
         assert "p_unavail must be within [0, 1], got -0.1" in result.stderr
         assert "p_dead" not in result.stderr
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--p-unavail", "5", "p_unavail must be within [0, 1], got 5.0"),
+        ("--q", "7", "q must be within [0, 1], got 7.0"),
+        ("--epsilon", "-1", "epsilon must be strictly between 0 and 1, got -1.0"),
+        ("--epsilon", "nan", "epsilon must be strictly between 0 and 1, got nan"),
+        ("--epsilon", "2", "epsilon must be strictly between 0 and 1, got 2.0"),
+    ], ids=["p_unavail 5", "q 7", "epsilon -1", "epsilon nan", "epsilon 2"])
+    def test_a_value_out_of_range_is_refused_without_its_column(
+            self, runner, option, value, message):
+        # no --dcs or --latencies asks for the columns p_unavail and q feed
+        result = runner.invoke(main, ["compare", "--p", "0.01", "--scheme", "rep:3",
+                                      "--scheme", "ec:8+3", option, value])
+        assert result.exit_code == 2
+        assert message in result.stderr
+
     def test_nine_dcs_are_exact(self, runner):
         from durakit.placement import (
             Topology,
@@ -712,6 +727,13 @@ class TestCurve:
         rows = list(csv.DictReader(io.StringIO(result.output)))
         unavail = [float(r["unavailability"]) for r in rows]
         assert unavail == sorted(unavail)
+
+    def test_a_swept_q_out_of_range_is_refused_without_dcs(self, runner):
+        result = runner.invoke(main, ["curve", "--x", "q", "--values", "0.01,7",
+                                      "--p", "0.01", "--scheme", "rep:3",
+                                      "--scheme", "ec:8+3"])
+        assert result.exit_code == 2
+        assert "q must be within [0, 1], got 7.0" in result.stderr
 
     def test_missing_fixed_p_usage_error(self, runner):
         result = runner.invoke(main, ["curve", "--x", "n", "--values", "1,2",

@@ -19,11 +19,14 @@ reads it.  The simulator builds its own count tables: from the analytic
 models it takes only the values it checks against, the types of its
 arguments and the count cap, so its cross-check stays independent.
 Every top-level name is needed: something in ``src/`` refers to it, the
-README documents it, or a short allowlist here says why it stays.
+README documents it, or a short allowlist here says why it stays.  So is
+every class member: something in ``src/`` reads it as an attribute, the
+README names it in backticks, or an allowlist here says why it stays.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -118,6 +121,9 @@ def test_the_cli_takes_every_analytic_value_from_the_builder():
         "durakit.probability.replicas_needed",
         # the placement simulate hands to the simulator
         "durakit.placement.balanced_placement",
+        # the range rule for a probability, which checks compare's and curve's
+        # q without --dcs, when no Topology is built to check it
+        "durakit.probability._check_prob",
     }
     names = imported_modules(PACKAGE / "cli.py", ("durakit", "cli"))
     assert "durakit" not in names
@@ -267,3 +273,48 @@ def test_every_top_level_name_is_needed():
         and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)
     }
     assert unneeded == set(NEEDED_ELSEWHERE)
+
+
+#: class members that stay although nothing in ``src/`` reads them as an
+#: attribute and the README does not name them -> why they stay
+MEMBERS_NEEDED_ELSEWHERE: dict[str, str] = {}
+
+
+def class_members(cls):
+    """The methods, properties and class-level constants of ``cls``, by
+    statement: no dunder, and no field of a dataclass."""
+    dataclass = any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+    for statement in cls.body:
+        if dataclass and isinstance(statement, ast.AnnAssign):
+            continue
+        for name in defined_names(statement):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, statement
+
+
+def attribute_reads(tree):
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    )
+
+
+def test_every_class_member_is_needed():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`]*)`", readme)
+    trees = {".".join(parts): ast.parse(path.read_text(encoding="utf-8"))
+             for path, parts in modules()}
+    reads = sum(map(attribute_reads, trees.values()), Counter())
+    unneeded = {
+        f"{module}.{cls.name}.{name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for name, statement in class_members(cls)
+        # a read inside the member's own definition, a recursive call, does not count
+        if reads[name] == attribute_reads(statement)[name]
+        and not any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", span) for span in spans)
+    }
+    assert unneeded == set(MEMBERS_NEEDED_ELSEWHERE)

@@ -228,10 +228,10 @@ class TestRankPass:
         subprocess.run([sys.executable, "-c", script], check=True)
 
 
-class TestUnitRows:
-    """On the long path, a row with a single 1 is its source itself: a replica
-    is framed from the shard it copies and shares its CRC, and a shard solved
-    from one fragment is that fragment's payload."""
+class TestReplicas:
+    """A replica, a row of one source with coefficient 1, is that source itself
+    at any size: an encode frames each replica from the shard it copies, and a
+    shard solved from one replica is that replica's payload."""
 
     @pytest.fixture
     def combined_rows(self, monkeypatch):
@@ -245,9 +245,10 @@ class TestUnitRows:
         monkeypatch.setattr(gf256, "combine", recording)
         return rows
 
-    def test_replicas_cost_no_field_work_and_one_crc(self, combined_rows, monkeypatch):
+    @pytest.mark.parametrize("size", [1_000, gf256.LONG_MIN_BYTES + 1])
+    def test_replicas_cost_no_field_work(self, size, combined_rows, monkeypatch):
         code = code_of(ReplicationScheme(3))
-        data = random.Random(5).randbytes(gf256.LONG_MIN_BYTES + 1)
+        data = random.Random(5).randbytes(size)
         crcs = []
         real_crc = zlib.crc32
 
@@ -257,13 +258,16 @@ class TestUnitRows:
 
         monkeypatch.setattr(zlib, "crc32", counting)
         fragments = encode(code, data, None)
-        assert combined_rows == [] and crcs == [len(data)]
+        assert combined_rows == []
+        if size >= gf256.LONG_MIN_BYTES:
+            assert crcs == [len(data)]  # the short path takes one CRC per frame
         assert all(f.payload == data and f.checksum == real_crc(data) for f in fragments)
         assert [f.index for f in fragments] == [0, 1, 2]
 
-    def test_a_shard_solved_from_one_replica_is_its_payload(self, combined_rows):
+    @pytest.mark.parametrize("size", [1_000, gf256.LONG_MIN_BYTES + 1])
+    def test_a_shard_solved_from_one_replica_is_its_payload(self, size, combined_rows):
         code = code_of(ReplicationScheme(3))
-        data = random.Random(6).randbytes(gf256.LONG_MIN_BYTES + 1)
+        data = random.Random(6).randbytes(size)
         parsed = [fragment_from_bytes(fragment_to_bytes(f))
                   for f in encode(code, data, None)]
         assert solve(code, parsed[2:]) == (data, (2,))
@@ -276,3 +280,43 @@ class TestUnitRows:
         assert combined_rows == [list(row) for row in code.rows[4:]]
         assert solve(code, fragments[2:])[0] == data
         assert len(combined_rows) == 4
+
+
+def unit(row) -> bool:
+    """Whether ``row`` is a single 1: one nonzero coefficient, and that 1."""
+    return [int(coeff) for coeff in row if coeff] == [1]
+
+
+def solve_systems(code):
+    """The (missing, parity) arguments of every reduction ``solve`` asks for:
+    one per loss of at most N - k fragments that leaves a data shard out."""
+    systems = set()
+    for lost in range(code.count - code.k + 1):
+        for gone in combinations(range(code.count), lost):
+            missing = tuple(j for j in range(code.k) if j in gone)
+            parity = tuple(i for i in range(code.k, code.count) if i not in gone)
+            if missing:
+                systems.add((missing, parity[: len(missing)] if code.mds else parity))
+    return systems
+
+
+@pytest.mark.parametrize("scheme", [
+    ErasureScheme(1, 2), ErasureScheme(2, 1), ErasureScheme(6, 3), ErasureScheme(8, 3),
+    ErasureScheme(10, 4), LRC_6_2_2,
+], ids=lambda scheme: scheme.label)
+def test_only_replicas_have_single_one_rows(scheme):
+    # so the replica rule of ``_combine``, one source with coefficient 1,
+    # meets every single-1 row that encode or solve ever hands it
+    code = code_of(scheme)
+    if code.k > 1:
+        assert not any(unit(row) for row in code.rows[code.k :])
+    solved = 0
+    for missing, parity in solve_systems(code):
+        try:
+            matrix, _ = linear._reduction.__wrapped__(code, missing, parity)
+        except UnrecoverableError:
+            continue
+        solved += 1
+        if matrix.shape[1] > 1:
+            assert not any(unit(row) for row in matrix), (missing, parity)
+    assert solved

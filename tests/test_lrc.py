@@ -164,9 +164,9 @@ class TestReportOrdering:
         rs63 = recoverability_report(ErasureScheme(6, 3), 5)
         rs64 = recoverability_report(ErasureScheme(6, 4), 5)
         for t in range(6):
-            low = rs63.row(t).fraction
-            high = rs64.row(t).fraction
-            mid = lrc_report.row(t).fraction
+            low = rs63.rows[t].fraction
+            high = rs64.rows[t].fraction
+            mid = lrc_report.rows[t].fraction
             assert low <= mid <= high, t
 
     def test_mds_rows_are_threshold(self):

@@ -54,7 +54,8 @@ class TestWorkedExamples:
         lrc_single = repair_plan(lrc_default(), 0)
         rs = repair_plan(rs_6_3_three_per_dc(), 0)
         # total bytes moved: lowest replication, intermediate LRC, highest RS
-        assert rep.total_transfers <= lrc_single.total_transfers <= rs.total_transfers
+        total = [plan.local_transfers + plan.remote_transfers for plan in (rep, lrc_single, rs)]
+        assert total == sorted(total)
         # cross-DC traffic: LRC repairs locally, replication copies one, RS four
         assert lrc_single.remote_transfers <= rep.remote_transfers <= rs.remote_transfers
 

@@ -365,9 +365,9 @@ class TestEngine:
         draws, first_draw = [], threading.Event()
         lock = threading.Lock()
 
-        def draw(rng, size):
+        def count(uniforms):
             with lock:
-                draws.append(size)
+                draws.append(len(uniforms))
                 first = len(draws) == 1
             first_draw.set()
             if failure == "draw raises" and first:
@@ -383,7 +383,7 @@ class TestEngine:
         if failure == "wait interrupted":
             monkeypatch.setattr(simulate, "map_chunks", interrupted_wait)
         with pytest.raises(RuntimeError if failure == "draw raises" else KeyboardInterrupt):
-            simulate._sample(400 * simulate.CHUNK_TRIALS, 0, 2, draw)
+            simulate._sample(400 * simulate.CHUNK_TRIALS, 0, 2, count)
         pools.started[0].shutdown(wait=True)
         assert len(draws) <= 10, len(draws)  # of 400
 
@@ -573,7 +573,7 @@ class TestCountTables:
         cdf = np.cumsum(table)
         edges = cdf[:-1] / cdf[-1]
         uniforms = edge_uniforms(edges)
-        histogram = simulate._histogram_sampler(table)(StubRng(uniforms), len(uniforms))
+        histogram = simulate._histogram_sampler(table)(uniforms)
         np.testing.assert_array_equal(histogram, np.bincount(
             np.searchsorted(edges, uniforms, side="right"), minlength=len(table)))
         assert histogram.sum() == len(uniforms)
@@ -625,9 +625,9 @@ class TestCountTables:
             assert pmf[k] == pytest.approx(float(exact), rel=1e-9)
 
 
-def first_uniforms(rng, size):
-    """A chunk's draw that returns the first uniforms of its stream."""
-    return rng.random(4)
+def first_uniforms(uniforms):
+    """A chunk's count that returns the first uniforms of its stream."""
+    return uniforms[:4]
 
 
 class TestSeededStreams:
