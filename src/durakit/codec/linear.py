@@ -213,8 +213,14 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
         view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
     ]
     payloads += map(bytes, _combine(rows[k:], payloads, code.parity_lanes))
+    # keyed by source, as on the long path: a replica's frames share one CRC
+    crcs = {}
+    for payload in payloads:
+        if id(payload) not in crcs:
+            crcs[id(payload)] = zlib.crc32(payload)
     return Fragment._framed(
-        object_id, code.scheme, length, enumerate(payloads), map(zlib.crc32, payloads)
+        object_id, code.scheme, length, enumerate(payloads),
+        (crcs[id(payload)] for payload in payloads),
     )
 
 

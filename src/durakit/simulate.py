@@ -10,13 +10,16 @@ number of edges at or below u (inversion by sequential search, Devroye,
 "Non-Uniform Random Variate Generation", 1986, ch. III.2).  Loss and
 availability need no count: a count of at least t is u at or above edge
 t - 1, one comparison per trial.  The latency scenarios need only how many
-trials drew each count: within ``MAX_COMPARE_EDGES`` edges the differences
-of the per-edge totals of uniforms at or above each edge, beyond it a
-binary search per uniform and a tally.  Each run builds its tables from the
-model's per-count pmf (binomial ones in log space), sharing no code with the
-analytic formulas the result is compared against.  A count of probability
-zero owns an empty interval and is never drawn; one below 2**-53 may not be
-drawn either.
+trials drew each value: adjacent counts of one latency merge into a level,
+and only the edges where the latency changes are tallied, so EC latency
+compares 2 edges at any m.  Within ``MAX_COMPARE_EDGES`` edges the tally is
+the differences of the per-edge totals of uniforms at or above each edge;
+beyond it, which only a replication profile of more than 64 distinct
+latencies reaches, a binary search per uniform and a bincount.  Each run
+builds its tables from the model's per-count pmf (binomial ones in log
+space), sharing no code with the analytic formulas the result is compared
+against.  A count of probability zero owns an empty interval and is never
+drawn; one below 2**-53 may not be drawn either.
 
 Determinism contract: identical (seed, trials, scenario parameters) produce
 identical results under any thread count.  Trials are processed in fixed
@@ -56,10 +59,12 @@ MAX_TRIALS = 1 << 34
 #: Refuse probability estimates expecting fewer than this many events.
 MIN_EXPECTED_EVENTS = 10
 
-#: Tally a latency histogram of at most this many edges (entries less one)
-#: by one comparison and one total per edge, a larger one by binary search
-#: and ``np.bincount``; both give the same histogram, so the bound changes
-#: no output.  Per 65536-trial chunk, comparing took 0.20 / 0.77 / 0.78 /
+#: Tally a latency histogram of at most this many edges, one per change of
+#: latency along the count table (2 for EC latency at any m), by one
+#: comparison and one total per edge, a larger one, which only a replication
+#: profile of more than 64 distinct latencies makes, by binary search and
+#: ``np.bincount``; both give the same histogram, so the bound changes no
+#: output.  Per 65536-trial chunk, comparing took 0.20 / 0.77 / 0.78 /
 #: 1.52 ms at 16 / 64 / 65 / 128 edges, about 12 us an edge on any table;
 #: searching 0.80-1.40 / 0.89-1.95 / 0.92-2.01 / 0.92-2.37 ms on binomial
 #: and first-available tables (p 0.05 and 0.5), least where the mass sits at
@@ -231,28 +236,25 @@ def _edges(pmf: np.ndarray) -> np.ndarray:
     return cdf[:-1] / cdf[-1]
 
 
-def _histogram_sampler(pmf: np.ndarray):
-    """``count(uniforms)``: how many of the uniforms draw count k from pmf, for each k.
+def _histogram_sampler(edges: np.ndarray):
+    """``count(uniforms)``: how many of the uniforms are at or above exactly k
+    of the non-decreasing ``edges``, for each k in 0..len(edges).
 
-    Up to ``MAX_COMPARE_EDGES`` edges no count is made: as many counts are
-    at least k as uniforms are at or above edge k - 1, so one comparison and
-    one total per edge give the histogram as differences.  Beyond, each
-    uniform's count is the number of edges at or below it, found by binary
-    search, and the counts are tallied by ``np.bincount``.  For the same
+    Up to ``MAX_COMPARE_EDGES`` edges no count is made: as many uniforms
+    reach level k or above as are at or above edge k - 1, so one comparison
+    and one total per edge give the histogram as differences.  Beyond, each
+    uniform's level is the number of edges at or below it, found by binary
+    search, and the levels are tallied by ``np.bincount``.  For the same
     uniforms both give the same histogram.
     """
-    edges = _edges(pmf)
     if len(edges) > MAX_COMPARE_EDGES:
         return lambda uniforms: np.bincount(
-            np.searchsorted(edges, uniforms, side="right"), minlength=len(pmf))
+            np.searchsorted(edges, uniforms, side="right"), minlength=len(edges) + 1)
 
     def count(uniforms):
-        at_or_above = np.empty(len(uniforms), bool)
-        at_least = [len(uniforms)]
-        for edge in edges:
-            np.greater_equal(uniforms, edge, out=at_or_above)
-            at_least.append(np.count_nonzero(at_or_above))
-        return -np.diff(at_least, append=0)
+        at_least = np.array(
+            [len(uniforms), *(np.count_nonzero(uniforms >= edge) for edge in edges), 0])
+        return at_least[:-1] - at_least[1:]
 
     return count
 
@@ -298,7 +300,12 @@ def _event_rate(analytic, trials, seed, threads, pmf, first) -> SimulationResult
 def _mean(analytic, trials, seed, threads, pmf, values) -> SimulationResult:
     """Mean of ``values[count]`` over counts drawn from ``pmf``.
 
-    Each chunk returns its histogram of counts; integer sums of those are
+    Adjacent counts of equal value form one level, and a trial needs only
+    its level: the edges of ``pmf``'s full table where the value changes
+    split the uniforms into levels, so each trial lands in the level of the
+    count it would draw, and a level's tally is the sum of its counts'.
+    EC latency has three levels (L1, L2, unserved) and so 2 edges at any m.
+    Each chunk returns its histogram of levels; integer sums of those are
     exact, so the moments follow from the totals.  A value of 0 marks an
     unserved trial (every latency is positive).  The moments are taken on
     the values scaled by a power of two into [0, 1), so no sum or square
@@ -306,17 +313,21 @@ def _mean(analytic, trials, seed, threads, pmf, values) -> SimulationResult:
     value lies 2**1021 or more below the largest, and the mean and standard
     errors, which cannot exceed the largest value, scale back exactly.
     """
-    histogram = sum(_sample(trials, seed, threads, _histogram_sampler(pmf)))
+    # values[k] != values[k + 1] puts a level's edge at the table's edge k:
+    # a uniform draws a count above k exactly when it is at or above it
+    changes = np.flatnonzero(values[1:] != values[:-1])
+    histogram = sum(_sample(trials, seed, threads, _histogram_sampler(_edges(pmf)[changes])))
+    levels = values[np.append(0, changes + 1)]
     # counted before scaling, which may round a tiny latency down to 0
-    unserved = int(histogram[values == 0.0].sum())
+    unserved = int(histogram[levels == 0.0].sum())
     exponent = math.frexp(values.max())[1]
-    values = np.ldexp(values, -exponent)
-    # centred on the most frequent value, a one-valued sample's mean is that
+    values, levels = np.ldexp(values, -exponent), np.ldexp(levels, -exponent)
+    # centred on the most frequent level, a one-valued sample's mean is that
     # value exactly and its variance exactly zero
-    shift = float(values[histogram.argmax()])
-    mean = shift + math.fsum(histogram * (values - shift)) / trials
+    shift = float(levels[histogram.argmax()])
+    mean = shift + math.fsum(histogram * (levels - shift)) / trials
     variance = 0.0 if trials == 1 else math.fsum(
-        histogram * (values - mean) ** 2) / (trials - 1)
+        histogram * (levels - mean) ** 2) / (trials - 1)
     # when every trial read the same latency the sample's variance is zero;
     # the model's own, sum of pmf * (v - E[v])**2, keeps z finite
     model_mean = math.fsum(pmf * values)

@@ -52,7 +52,7 @@ for axis, rest in CURVES.items():
     ANALYTIC[f"curve {axis}"] = ["curve", "--x", axis, *rest]
     ANALYTIC[f"curve {axis} dcs latencies"] = ["curve", "--x", axis, *rest, *WITH_SITES]
 
-#: the seven simulate runs of the CI job, each at one and two threads, of
+#: the eight simulate runs of the CI job, each at one and two threads, of
 #: 300,000 trials unless ``SIMULATION_TRIALS`` names the run
 SIMULATIONS = {
     "loss": ["--scenario", "loss", "--p", "0.05", "--m", "8", "--n", "3"],
@@ -67,6 +67,10 @@ SIMULATIONS = {
     "latency-rep": ["--scenario", "latency", "--p", "0.05", "--latencies", "1,20,100"],
     "latency-ec": ["--scenario", "latency", "--p", "0.05", "--latencies", "1,100",
                    "--m", "8", "--n", "3"],
+    # a table of 201 counts, past the compare bound, tallied by 2 edges: its
+    # stdout must be that of a binary search over all 200
+    "latency-ec-wide": ["--scenario", "latency", "--p", "0.05", "--latencies", "1,100",
+                        "--m", "200", "--n", "20"],
 }
 #: 2.6e-5 unavailable, so 300,000 trials would expect under the 10 events the
 #: rare-event guard asks for
@@ -185,6 +189,8 @@ DIGESTS = {
     "simulate latency-rep threads 2": "dc3a2ab83d75acc4f3a9bb41338cfe1ae715fe05614fd39c1a68a6d817463c99",
     "simulate latency-ec threads 1": "e6dcd88de903bec6a43d5617acb7fbded9991e4aa425c1008ff818079867b823",
     "simulate latency-ec threads 2": "e6dcd88de903bec6a43d5617acb7fbded9991e4aa425c1008ff818079867b823",
+    "simulate latency-ec-wide threads 1": "fbead62cc939e409be3db2e2d1d3db972714bc88665d869442c0435e79ba2584",
+    "simulate latency-ec-wide threads 2": "fbead62cc939e409be3db2e2d1d3db972714bc88665d869442c0435e79ba2584",
     "codec rs:8+3 table": "07eed4a728edcc082b7ee338fda890c536e13ea0691997a2f4a15647afbb80e6",
     "codec rs:8+3 json": "1c87392939eccc4024d084ace2876430ffda86855c40daf164cc243df9fa8eec",
     "codec rs:8+3 csv": "69a730fadeeea8260922e81fa90bbacc43e33cb14e872cf19d12f0257197b815",

@@ -245,24 +245,32 @@ class TestReplicas:
         monkeypatch.setattr(gf256, "combine", recording)
         return rows
 
-    @pytest.mark.parametrize("size", [1_000, gf256.LONG_MIN_BYTES + 1])
-    def test_replicas_cost_no_field_work(self, size, combined_rows, monkeypatch):
+    @pytest.fixture
+    def crc_lengths(self, monkeypatch):
+        lengths = []
+        real = zlib.crc32
+
+        def recording(buffer, *args):
+            lengths.append(len(buffer))
+            return real(buffer, *args)
+
+        monkeypatch.setattr(zlib, "crc32", recording)
+        return lengths
+
+    @pytest.mark.parametrize("size", [1_000, 4_096, gf256.LONG_MIN_BYTES + 1])
+    def test_replicas_cost_no_field_work(self, size, combined_rows, crc_lengths):
         code = code_of(ReplicationScheme(3))
         data = random.Random(5).randbytes(size)
-        crcs = []
-        real_crc = zlib.crc32
-
-        def counting(buffer, *args):
-            crcs.append(len(buffer))
-            return real_crc(buffer, *args)
-
-        monkeypatch.setattr(zlib, "crc32", counting)
         fragments = encode(code, data, None)
         assert combined_rows == []
-        if size >= gf256.LONG_MIN_BYTES:
-            assert crcs == [len(data)]  # the short path takes one CRC per frame
-        assert all(f.payload == data and f.checksum == real_crc(data) for f in fragments)
+        assert crc_lengths == [len(data)]  # one CRC for the shard all three frame
+        assert all(f.payload == data and f.checksum == zlib.crc32(data) for f in fragments)
         assert [f.index for f in fragments] == [0, 1, 2]
+
+    @pytest.mark.parametrize("size", [4_096, 8 * gf256.LONG_MIN_BYTES])
+    def test_distinct_sources_take_one_crc_each(self, size, crc_lengths):
+        fragments = encode(code_of(ErasureScheme(8, 3)), random.Random(8).randbytes(size), None)
+        assert len(crc_lengths) == len(fragments) == 11
 
     @pytest.mark.parametrize("size", [1_000, gf256.LONG_MIN_BYTES + 1])
     def test_a_shard_solved_from_one_replica_is_its_payload(self, size, combined_rows):

@@ -440,7 +440,7 @@ class TestEngine:
 def drawn_histogram(pmf, seed, chunks=4):
     """Counts drawn from ``pmf`` over a few chunks of the engine's streams."""
     return sum(simulate._sample(chunks * simulate.CHUNK_TRIALS, seed, 1,
-                                simulate._histogram_sampler(pmf)))
+                                simulate._histogram_sampler(simulate._edges(pmf))))
 
 
 def assert_histogram_matches(histogram, exact):
@@ -527,6 +527,20 @@ AGREEMENT_TABLES = {
 }
 
 
+#: name -> latencies, EC scheme (None for replication), p, and the level of
+#: each count of the table: the index of its value among the distinct ones
+LEVEL_CASES = {
+    "ec m=8 n=3": ((1.0, 100.0), ErasureScheme(8, 3), 0.05, [0] + [1] * 3 + [2] * 5),
+    "ec m=200 n=20": ((1.0, 100.0), ErasureScheme(200, 20), 0.05,
+                      [0] + [1] * 20 + [2] * 180),
+    # no count is unserved: one edge, L1 or L2
+    "ec n >= m": ((1.0, 100.0), ErasureScheme(4, 6), 0.3, [0] + [1] * 4),
+    # one value everywhere: a single level and no edge
+    "ec L1 == L2, n >= m": ((5.0, 5.0), ErasureScheme(4, 4), 0.3, [0] * 5),
+    "rep 1,7,7,7,9": ((1.0, 7.0, 7.0, 7.0, 9.0), None, 0.3, [0, 1, 1, 1, 2, 3]),
+}
+
+
 class StubRng:
     """Hands out chosen uniforms, repeated to whatever size is asked for."""
 
@@ -573,7 +587,7 @@ class TestCountTables:
         cdf = np.cumsum(table)
         edges = cdf[:-1] / cdf[-1]
         uniforms = edge_uniforms(edges)
-        histogram = simulate._histogram_sampler(table)(uniforms)
+        histogram = simulate._histogram_sampler(simulate._edges(table))(uniforms)
         np.testing.assert_array_equal(histogram, np.bincount(
             np.searchsorted(edges, uniforms, side="right"), minlength=len(table)))
         assert histogram.sum() == len(uniforms)
@@ -605,14 +619,57 @@ class TestCountTables:
             np.searchsorted(edges, uniforms, side="right") > n)
 
     def test_table_above_the_bound_keeps_its_seeded_stream(self):
-        # 301 counts, drawn by binary search; the loss scenario, which
-        # compares with one edge whatever the table, no longer reaches it
+        # 301 counts, past the compare bound, but three latency levels (L1,
+        # L2, unserved): tallied by 2 edges of the full table, each trial in
+        # the level of the count the binary search over all 300 drew
         scheme = ErasureScheme(300, 20)
         assert scheme.m > simulate.MAX_COMPARE_EDGES
         result = simulate_latency(LatencyProfile((1.0, 100.0)), 0.05, 200_000, seed=2026,
                                   ec=scheme)
         assert result.unserved_trials == 15_633
         assert result.point_estimate == 92.1835
+
+    @pytest.mark.parametrize("name", LEVEL_CASES)
+    def test_level_tally_sums_the_count_histogram(self, name, monkeypatch):
+        # on uniforms at, just below and just above every edge of the full
+        # table, each level's tally is the sum of its counts' bins
+        latencies, ec, p, level_of_count = LEVEL_CASES[name]
+        pmf = (simulate._first_available_pmf(len(latencies), p) if ec is None
+               else simulate._binomial_pmf(ec.m, p))
+        edges = simulate._edges(pmf)
+        uniforms = edge_uniforms(edges)
+        bins = np.bincount(np.searchsorted(edges, uniforms, side="right"), minlength=len(pmf))
+        tallies = []
+        real = simulate._histogram_sampler
+
+        def recording(level_edges):
+            count = real(level_edges)
+            return lambda chunk: tallies.append(count(chunk)) or tallies[-1]
+
+        monkeypatch.setattr(simulate, "_histogram_sampler", recording)
+        monkeypatch.setattr(simulate.np.random, "Generator", lambda bits: StubRng(uniforms))
+        result = simulate_latency(LatencyProfile(latencies), p, len(uniforms), seed=0, ec=ec)
+        levels = np.zeros(max(level_of_count) + 1, int)
+        np.add.at(levels, level_of_count, bins)
+        np.testing.assert_array_equal(tallies, [levels])
+        unserved = bins[len(latencies):].sum() if ec is None else bins[ec.n + 1:].sum()
+        assert result.unserved_trials == unserved
+
+    @pytest.mark.parametrize("latencies, ec, edges", [
+        ((1.0, 100.0), ErasureScheme(8, 3), 2),
+        ((1.0, 100.0), ErasureScheme(300, 20), 2),
+        ((1.0, 100.0), ErasureScheme(1000, 3), 2),
+        ((1.0, 20.0, 100.0), None, 3),
+    ], ids=["ec m=8", "ec m=300", "ec m=1000", "rep 1,20,100"])
+    def test_latency_tallies_one_edge_per_change_of_value(self, latencies, ec, edges,
+                                                         monkeypatch):
+        tallied = []
+        real = simulate._histogram_sampler
+        monkeypatch.setattr(simulate, "_histogram_sampler",
+                            lambda level_edges: tallied.append(len(level_edges))
+                            or real(level_edges))
+        simulate_latency(LatencyProfile(latencies), 0.05, 1_000, seed=0, ec=ec)
+        assert tallied == [edges]
 
     def test_large_total_neither_overflows_nor_drifts(self):
         # C(10010, k) * p**k * q**(10010-k) overflows a float when formed directly
@@ -656,6 +713,15 @@ class TestSeededStreams:
                                   ec=ErasureScheme(8, 3))
         assert result.unserved_trials == 74
         assert result.point_estimate == 34.419555
+
+    def test_latency_replication_past_the_compare_bound(self):
+        # 70 distinct latencies and the unserved level: 70 edges, past the
+        # compare bound, so tallied by binary search
+        profile = LatencyProfile(tuple(range(1, 71)))
+        assert profile.site_count > simulate.MAX_COMPARE_EDGES
+        result = simulate_latency(profile, 0.9, 200_000, seed=2026)
+        assert result.unserved_trials == 121
+        assert result.point_estimate == 9.96819
 
     def test_chunk_streams_are_the_seeds_spawned_children(self):
         chunks = simulate._sample(4 * simulate.CHUNK_TRIALS, 5, 1, first_uniforms)
