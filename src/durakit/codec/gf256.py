@@ -25,8 +25,9 @@ matrix to a set of equal-length sources:
   of 0s and 1s is XORs alone.  The bit-plane kernel makes about 70 numpy
   calls per dense row, which is why short payloads keep the gather.
 - That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
-  the threads of ``durakit.parallel``'s pool (numpy's ufuncs release the
-  interpreter lock); every row of a stripe is made before the next stripe.
+  the calling thread and the threads of ``durakit.parallel``'s pool (numpy's
+  ufuncs release the interpreter lock); every row of a stripe is made before
+  the next stripe.
   Every output byte depends only on the same bytes of the sources, so the
   result is identical at any thread count.
 """
@@ -199,7 +200,7 @@ def _planes(row) -> list[list[int]]:
 def _combine_planes(matrix, sources, length: int) -> np.ndarray:
     """``combine`` on 64-bit words: row i is the sum over bits b of 2**b times
     the XOR of the sources whose coefficient has bit b set, by Horner's rule
-    from the top bit down, in stripes on worker threads."""
+    from the top bit down, in stripes on the calling thread and pool threads."""
     rows = [_planes(row) for row in matrix]
     word = _WORD.itemsize
     # whole words per row, so every row's stripe is word-aligned; the result

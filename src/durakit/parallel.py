@@ -15,8 +15,10 @@ so its output is the same at any thread count:
 
 The pool starts on first use, with a thread per CPU the process may run on
 (its affinity mask, counted once at import); a forked child starts its own.
-On one CPU, and for a single chunk, jobs run on the calling thread.  No job
-waits on another, so callers share the pool safely.
+``map_chunks`` runs its first chunk on the calling thread, which would
+otherwise only wait, and the rest on the pool; on one CPU every job runs on
+the calling thread.  No job waits on another, so callers share the pool
+safely.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def submit(fn, *args) -> Future:
 
 
 def map_chunks(fn, chunks) -> list:
-    """``[fn(c) for c in chunks]``, one pool job per chunk, in order."""
-    chunks = list(chunks)
-    if len(chunks) == 1:
-        return [fn(chunks[0])]
-    return [job.result() for job in [submit(fn, chunk) for chunk in chunks]]
+    """``[fn(c) for c in chunks]``, in order: the first chunk on the calling
+    thread, each other one a pool job submitted before it starts."""
+    first, *rest = chunks
+    jobs = [submit(fn, chunk) for chunk in rest]
+    return [fn(first), *(job.result() for job in jobs)]

@@ -35,6 +35,7 @@ an event-rate estimator, or the value of each count, over a mean estimator.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import Counter
@@ -109,7 +110,8 @@ def _check_run_params(trials: int, seed: int, threads: int, counts: int) -> None
 
 
 def _sample(trials: int, seed: int, threads: int, count) -> list:
-    """``count(uniforms)`` for every chunk, its uniforms one ``random()`` call.
+    """``count(uniforms)`` for every chunk, in chunk order, its uniforms one
+    ``random()`` call.
 
     A chunk's stream is seeded by ``SeedSequence(seed, spawn_key=(chunk,))``,
     the child ``SeedSequence(seed).spawn(chunk + 1)[chunk]``, built without
@@ -117,37 +119,42 @@ def _sample(trials: int, seed: int, threads: int, count) -> list:
     ``SeedSequence([seed, chunk])`` would not do, because it zero-pads short
     entropy, so (5 + 3 * 2**32, 0) and (5, 3) would share a stream.
 
-    Chunk indices are dealt round-robin to the workers, one pool job each, so
-    ``threads`` caps the jobs in flight.  Partials come back worker by worker,
-    not in chunk order; callers reduce them exactly.  When a job fails, or the
-    wait for the jobs is interrupted (Ctrl-C), every job stops at its next
-    chunk: the interpreter waits for pool threads at exit.
+    ``threads`` caps the workers: the calling thread and up to
+    ``threads - 1`` pool jobs.  Each worker takes the next chunk index from
+    one shared counter until none is left, so a worker that starts late
+    takes fewer chunks, and fills one buffer of its own, allocated here, with
+    each chunk's uniforms; ``count`` must therefore not keep its argument.
+    When a job fails, or the wait for the jobs is interrupted (Ctrl-C), every
+    job stops at its next chunk: the interpreter waits for pool threads at
+    exit.
     """
     chunks = -(-trials // CHUNK_TRIALS)
     workers = worker_count(threads, chunks)
+    # one C call per index, so no two workers take the same chunk
+    take = itertools.count().__next__
+    parts = [None] * chunks
     stop = threading.Event()
 
-    def run(first: int) -> list:
-        parts = []
+    def run(buffer: np.ndarray) -> None:
         try:
-            for chunk in range(first, chunks, workers):
-                if stop.is_set():
-                    break
+            while not stop.is_set() and (chunk := take()) < chunks:
                 rng = np.random.Generator(np.random.SFC64(
                     np.random.SeedSequence(seed, spawn_key=(chunk,))))
                 size = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
-                parts.append(count(rng.random(size)))
+                parts[chunk] = count(rng.random(out=buffer[:size]))
         except BaseException:
             stop.set()
             raise
-        return parts
 
+    # allocated on the calling thread: made on the workers, they would come
+    # from per-thread arenas and raise peak memory
+    buffers = [np.empty(min(CHUNK_TRIALS, trials)) for _ in range(workers)]
     try:
-        partials = map_chunks(run, range(workers))
+        map_chunks(run, buffers)
     except BaseException:
         stop.set()
         raise
-    return [part for parts in partials for part in parts]
+    return parts
 
 
 def _binomial_pmf(total: int, p: float) -> np.ndarray:
@@ -328,12 +335,13 @@ def _mean(analytic, trials, seed, threads, pmf, values) -> SimulationResult:
     mean = shift + math.fsum(histogram * (levels - shift)) / trials
     variance = 0.0 if trials == 1 else math.fsum(
         histogram * (levels - mean) ** 2) / (trials - 1)
-    # when every trial read the same latency the sample's variance is zero;
-    # the model's own, sum of pmf * (v - E[v])**2, keeps z finite
-    model_mean = math.fsum(pmf * values)
-    model_variance = math.fsum(pmf * (values - model_mean) ** 2)
     se = math.sqrt(variance / trials)
-    z_se = se or math.sqrt(model_variance / trials)
+    z_se = se
+    if se == 0.0:
+        # every trial read the same latency; the model's own variance, sum of
+        # pmf * (v - E[v])**2, keeps z finite
+        model_mean = math.fsum(pmf * values)
+        z_se = math.sqrt(math.fsum(pmf * (values - model_mean) ** 2) / trials)
     return _result(trials, math.ldexp(mean, exponent), math.ldexp(se, exponent), analytic,
                    math.ldexp(z_se, exponent), events=None, unserved_trials=unserved)
 

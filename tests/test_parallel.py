@@ -46,9 +46,10 @@ def test_one_pool_for_every_long_operation(pools):
     runs = [simulate_loss(0.2, 2, 1, trials, seed=3, threads=2) for _ in range(2)]
     assert runs[0] == runs[1] == simulate_loss(0.2, 2, 1, trials, seed=3, threads=1)
     assert pools.sizes == [2]
-    # per encode: the object id, 11 CRCs and 2 stripe jobs; 2 for the solve's
-    # stripes; 2 per two-thread simulation
-    assert len(pools.started[0].jobs) == 2 * 14 + 2 + 2 * 2
+    # the calling thread takes the first stripe job and the first worker's
+    # share of a simulation: per encode, the object id, 11 CRCs and 1 stripe
+    # job; 1 for the solve's stripes; 1 per two-thread simulation
+    assert len(pools.started[0].jobs) == 2 * 13 + 1 + 2 * 1
 
 
 def test_no_pool_for_short_or_single_thread_work(pools):
@@ -76,7 +77,15 @@ def test_one_cpu_runs_every_job_on_the_calling_thread(pools):
 def test_map_chunks_keeps_order_on_the_pool(pools):
     pools.reset(2)
     assert parallel.map_chunks(lambda chunk: chunk * chunk, range(5)) == [0, 1, 4, 9, 16]
-    assert pools.sizes == [2] and len(pools.started[0].jobs) == 5
+    assert pools.sizes == [2] and pools.started[0].jobs == [(1,), (2,), (3,), (4,)]
+
+
+def test_map_chunks_runs_the_first_chunk_on_the_calling_thread(pools):
+    pools.reset(2)
+    caller = threading.get_ident()
+    ran = parallel.map_chunks(lambda chunk: (chunk, threading.get_ident()), range(5))
+    assert [chunk for chunk, _ in ran] == list(range(5))
+    assert ran[0][1] == caller and all(ident != caller for _, ident in ran[1:])
 
 
 @pytest.mark.parametrize("race", range(10))

@@ -228,9 +228,9 @@ class TestAvailabilityScenario:
             def __init__(self, bits):
                 self.rng = real_generator(bits)
 
-            def random(self, size):
-                calls.append(size)
-                return self.rng.random(size)
+            def random(self, *, out):
+                calls.append(len(out))
+                return self.rng.random(out=out)
 
         real_generator = simulate.np.random.Generator
         monkeypatch.setattr(simulate.np.random, "Generator", CountingRng)
@@ -350,12 +350,74 @@ class TestEngine:
         for threads in (2, os.cpu_count() or 1):
             assert SCENARIOS[name](trials, 11, threads) == base
 
-    def test_one_work_item_per_worker(self, pools):
+    def test_one_work_item_per_worker(self, pools, monkeypatch):
+        # two workers: the calling thread and one pool job, each with one
+        # buffer that every chunk it takes refills
         pools.reset(2)
+        drawn = []
+        real_generator = simulate.np.random.Generator
+
+        class RecordingRng:
+            def __init__(self, bits):
+                self.rng = real_generator(bits)
+
+            def random(self, *, out):
+                drawn.append((threading.get_ident(), out.base.ctypes.data, len(out)))
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(simulate.np.random, "Generator", RecordingRng)
         trials = 20 * simulate.CHUNK_TRIALS + 1  # 21 chunks
         result = simulate_loss(0.2, 2, 1, trials, seed=1, threads=2)
-        assert pools.sizes == [2] and pools.started[0].jobs == [(0,), (1,)]
+        assert pools.sizes == [2] and len(pools.started[0].jobs) == 1
+        [(buffer,)] = pools.started[0].jobs
+        assert buffer.shape == (simulate.CHUNK_TRIALS,)
+        assert sorted(size for _, _, size in drawn) == [1] + [simulate.CHUNK_TRIALS] * 20
+        assert threading.get_ident() in {ident for ident, _, _ in drawn}
+        # each thread drew every chunk it took into one buffer of its own
+        buffers = {}
+        for ident, address, _ in drawn:
+            assert buffers.setdefault(ident, address) == address
+        assert len(set(buffers.values())) == len(buffers)
+        monkeypatch.setattr(simulate.np.random, "Generator", real_generator)
         assert result == simulate_loss(0.2, 2, 1, trials, seed=1, threads=1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_every_chunk_draws_its_own_stream_in_chunk_order(self, threads, pools):
+        pools.reset(3)  # three workers even on a machine of fewer CPUs
+        trials = 5 * simulate.CHUNK_TRIALS + 3  # five full chunks and a short one
+        chunks = simulate._sample(trials, 7, threads, lambda uniforms: uniforms.copy())
+        assert sum(len(pool.jobs) for pool in pools.started) == threads - 1
+        assert [len(uniforms) for uniforms in chunks] == [simulate.CHUNK_TRIALS] * 5 + [3]
+        for chunk, uniforms in enumerate(chunks):
+            rng = np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(7, spawn_key=(chunk,))))
+            np.testing.assert_array_equal(uniforms, rng.random(len(uniforms)))
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate_loss(0.2, 4, 2, 3 * simulate.CHUNK_TRIALS, seed=1, threads=2),
+        lambda: simulate_latency(LatencyProfile((1.0, 100.0)), 0.05,
+                                 3 * simulate.CHUNK_TRIALS, seed=1, threads=2,
+                                 ec=ErasureScheme(8, 3)),
+        lambda: simulate_latency(LatencyProfile(tuple(range(1, 71))), 0.9,
+                                 3 * simulate.CHUNK_TRIALS, seed=1, threads=2),
+    ], ids=["event rate", "histogram by comparison", "histogram by binary search"])
+    def test_no_count_keeps_the_buffer_it_was_handed(self, run, monkeypatch):
+        # a worker refills its buffer for its next chunk, so a count that
+        # returned a view of it would change under the reduction
+        real_sample, counted = simulate._sample, []
+
+        def checked_sample(trials, seed, threads, count):
+            def checked(uniforms):
+                result = count(uniforms)
+                assert not np.shares_memory(result, uniforms)
+                counted.append(len(uniforms))
+                return result
+
+            return real_sample(trials, seed, threads, checked)
+
+        monkeypatch.setattr(simulate, "_sample", checked_sample)
+        run()
+        assert counted == [simulate.CHUNK_TRIALS] * 3
 
     @pytest.mark.parametrize("failure", ["draw raises", "wait interrupted"])
     def test_a_failed_run_stops_every_job_within_a_chunk(self, failure, pools, monkeypatch):
@@ -542,13 +604,14 @@ LEVEL_CASES = {
 
 
 class StubRng:
-    """Hands out chosen uniforms, repeated to whatever size is asked for."""
+    """Hands out chosen uniforms, repeated to fill whatever buffer it is given."""
 
     def __init__(self, uniforms):
         self.uniforms = uniforms
 
-    def random(self, size):
-        return np.resize(self.uniforms, size)
+    def random(self, *, out):
+        out[:] = np.resize(self.uniforms, len(out))
+        return out
 
 
 def edge_uniforms(edges):
@@ -683,8 +746,9 @@ class TestCountTables:
 
 
 def first_uniforms(uniforms):
-    """A chunk's count that returns the first uniforms of its stream."""
-    return uniforms[:4]
+    """A chunk's count that returns the first uniforms of its stream, copied
+    out of the buffer that the worker's next chunk refills."""
+    return uniforms[:4].copy()
 
 
 class TestSeededStreams:
