@@ -24,10 +24,10 @@ matrix to a set of equal-length sources:
   per bit below its top one and one XOR per set coefficient bit, so a row
   of 0s and 1s is XORs alone.  The bit-plane kernel makes about 70 numpy
   calls per dense row, which is why short payloads keep the gather.
-- That path works in fixed ``STRIPE_BYTES`` stripes, dealt round-robin to
-  the calling thread and the threads of ``durakit.parallel``'s pool (numpy's
-  ufuncs release the interpreter lock); every row of a stripe is made before
-  the next stripe.
+- That path works in fixed ``STRIPE_BYTES`` stripes, which
+  ``durakit.parallel.deal`` hands to the calling thread and the threads of
+  its pool (numpy's ufuncs release the interpreter lock), each the next
+  stripe not yet taken; every row of a stripe is made before the next one.
   Every output byte depends only on the same bytes of the sources, so the
   result is identical at any thread count.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel import map_chunks, worker_count
+from ..parallel import deal
 
 ORDER = 256
 POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1, primitive
@@ -213,48 +213,45 @@ def _combine_planes(matrix, sources, length: int) -> np.ndarray:
     # any other stripe is read in place.  Bytes never mix, so what the last
     # word holds past the end reaches only the padding of the result.
     unaligned = [array.ctypes.data % word != 0 for array in arrays]
-    starts = range(0, length, STRIPE_BYTES)
-    workers = worker_count(len(starts), len(starts))
-
-    def run(job) -> None:
-        first, spare, scratch = job
-        for start in starts[first::workers]:
-            stop = min(start + STRIPE_BYTES, length)
-            size = -(-(stop - start) // word)
-            short = (stop - start) % word != 0
-            stripe = []
-            for array, offset, buffer in zip(arrays, unaligned, scratch):
-                part = array[start:stop]
-                if offset or short:
-                    buffer.view(np.uint8)[: len(part)] = part
-                    part = buffer[:size]
-                else:
-                    part = part.view(_WORD)
-                stripe.append(part)
-            carry = spare[:size]
-            column = start // word
-            for planes, acc in zip(rows, words[:, column : column + size]):
-                if not planes:
-                    acc.fill(0)
-                    continue
-                np.copyto(acc, stripe[planes[0][0]])
-                for j in planes[0][1:]:
-                    np.bitwise_xor(acc, stripe[j], out=acc)
-                for plane in planes[1:]:
-                    _double(acc, carry)
-                    for j in plane:
-                        np.bitwise_xor(acc, stripe[j], out=acc)
-
-    # each worker's buffers are allocated here, on the calling thread: made
-    # on the workers, they come from per-thread arenas and raise peak memory
     stripe_words = STRIPE_BYTES // word
-    jobs = [
-        (w, np.empty(stripe_words, _WORD),
-         [np.empty(stripe_words, _WORD) if offset or length % word else None
-          for offset in unaligned])
-        for w in range(workers)
-    ]
-    map_chunks(run, jobs)
+
+    def buffers():
+        # a carry for ``_double``, and a copy of each source that needs one
+        return (np.empty(stripe_words, _WORD),
+                [np.empty(stripe_words, _WORD) if offset or length % word else None
+                 for offset in unaligned])
+
+    def run(index: int, scratch) -> None:
+        spare, copies = scratch
+        start = index * STRIPE_BYTES
+        stop = min(start + STRIPE_BYTES, length)
+        size = -(-(stop - start) // word)
+        short = (stop - start) % word != 0
+        stripe = []
+        for array, offset, buffer in zip(arrays, unaligned, copies):
+            part = array[start:stop]
+            if offset or short:
+                buffer.view(np.uint8)[: len(part)] = part
+                part = buffer[:size]
+            else:
+                part = part.view(_WORD)
+            stripe.append(part)
+        carry = spare[:size]
+        column = start // word
+        for planes, acc in zip(rows, words[:, column : column + size]):
+            if not planes:
+                acc.fill(0)
+                continue
+            np.copyto(acc, stripe[planes[0][0]])
+            for j in planes[0][1:]:
+                np.bitwise_xor(acc, stripe[j], out=acc)
+            for plane in planes[1:]:
+                _double(acc, carry)
+                for j in plane:
+                    np.bitwise_xor(acc, stripe[j], out=acc)
+
+    stripes = -(-length // STRIPE_BYTES)
+    deal(run, stripes, stripes, buffers)
     return out[:, :length]
 
 

@@ -14,7 +14,7 @@ import hashlib
 import zlib
 from collections.abc import Callable, Iterable, Sequence, Set
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -180,47 +180,36 @@ def encode(code: LinearCode, data: bytes, object_id: bytes | None) -> list[Fragm
 
     k, length = code.k, len(view)
     size = shard_length(length, k)
-    if size >= gf256.LONG_MIN_BYTES:
-        # each long fragment is written once, straight into its wire frame:
-        # a data shard from the caller's buffer, read in place (so that can
-        # change afterwards), and a parity row from ``combine``'s output, or
-        # the shard it copies.  Only a shard that runs past the object's end
-        # is copied first, to pad it with zeros.
-        shards = [view[j * size : (j + 1) * size] for j in range(k)]
-        shards = [
-            shard if len(shard) == size else b"".join((shard, bytes(size - len(shard))))
-            for shard in shards
-        ]
-        # the object id and CRCs run on the pool beside ``combine``; frames are
-        # joined here from the finished values, so no byte depends on threads
-        derived = parallel.submit(derive_object_id, view) if object_id is None else None
-        # keyed by source: a source framed twice, as a replica's shard is, shares one CRC
-        crcs = {id(shard): parallel.submit(zlib.crc32, shard) for shard in shards}
-        sources = [*shards, *_combine(rows[k:], shards)]
-        for source in sources[k:]:
-            if id(source) not in crcs:
-                crcs[id(source)] = parallel.submit(zlib.crc32, source)
-        return Fragment._framed(
-            object_id or derived.result(), code.scheme, length, enumerate(sources),
-            (crcs[id(source)].result() for source in sources),
-        )
-    # below the long path a copy costs less than a view, so short shards are
-    # copied out, and each fragment keeps its ``bytes`` payload beside its
-    # frame; every field is checked above and every CRC is taken here
-    if object_id is None:
-        object_id = derive_object_id(view)
-    payloads = [
-        view[j * size : (j + 1) * size].tobytes().ljust(size, b"\0") for j in range(k)
+    long = size >= gf256.LONG_MIN_BYTES
+    # each fragment is written once, straight into its wire frame.  A long
+    # data shard is read in place from the caller's buffer (so that can
+    # change afterwards); a short one is copied out, which costs less than a
+    # view, and its fragment keeps the ``bytes`` beside its frame.  A shard
+    # that runs past the object's end is copied either way, to pad it.
+    shards = [view[j * size : (j + 1) * size] for j in range(k)]
+    shards = [
+        b"".join((shard, bytes(size - len(shard)))) if len(shard) < size
+        else shard if long else shard.tobytes()
+        for shard in shards
     ]
-    payloads += map(bytes, _combine(rows[k:], payloads, code.parity_lanes))
-    # keyed by source, as on the long path: a replica's frames share one CRC
-    crcs = {}
-    for payload in payloads:
-        if id(payload) not in crcs:
-            crcs[id(payload)] = zlib.crc32(payload)
+    # a long object's id and CRCs run on the pool beside ``combine``, a short
+    # one's here; frames are joined here from the finished values, so no
+    # byte depends on threads
+    derive = partial(parallel.submit, derive_object_id) if long else derive_object_id
+    crc32 = partial(parallel.submit, zlib.crc32) if long else zlib.crc32
+    derived = object_id or derive(view)
+    # keyed by source: a source framed twice, as a replica's shard is, shares one CRC
+    crcs = {id(shard): crc32(shard) for shard in shards}
+    sources = [*shards, *_combine(rows[k:], shards, code.parity_lanes)]
+    for source in sources[k:]:
+        if id(source) not in crcs:
+            crcs[id(source)] = crc32(source)
+    if long:
+        derived = object_id or derived.result()
+        crcs = {key: job.result() for key, job in crcs.items()}
     return Fragment._framed(
-        object_id, code.scheme, length, enumerate(payloads),
-        (crcs[id(payload)] for payload in payloads),
+        derived, code.scheme, length, enumerate(sources),
+        (crcs[id(source)] for source in sources),
     )
 
 

@@ -35,9 +35,7 @@ an event-rate estimator, or the value of each count, over a mean estimator.
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,7 +43,7 @@ import numpy as np
 
 from .errors import RareEventError
 from .latency import LatencyProfile, ec_read_latency_expectation, expected_latency_replication
-from .parallel import map_chunks, worker_count
+from .parallel import deal
 from .placement import Placement, Topology, placement_unavailability
 from .probability import MAX_TABLE_COUNT, DiskFailureModel, ErasureScheme, prob_loss_ec
 
@@ -119,42 +117,19 @@ def _sample(trials: int, seed: int, threads: int, count) -> list:
     ``SeedSequence([seed, chunk])`` would not do, because it zero-pads short
     entropy, so (5 + 3 * 2**32, 0) and (5, 3) would share a stream.
 
-    ``threads`` caps the workers: the calling thread and up to
-    ``threads - 1`` pool jobs.  Each worker takes the next chunk index from
-    one shared counter until none is left, so a worker that starts late
-    takes fewer chunks, and fills one buffer of its own, allocated here, with
-    each chunk's uniforms; ``count`` must therefore not keep its argument.
-    When a job fails, or the wait for the jobs is interrupted (Ctrl-C), every
-    job stops at its next chunk: the interpreter waits for pool threads at
-    exit.
+    ``durakit.parallel.deal`` hands the chunks to at most ``threads``
+    workers, and each worker fills one buffer of its own with the uniforms of
+    every chunk it takes; ``count`` must therefore not keep its argument.
     """
-    chunks = -(-trials // CHUNK_TRIALS)
-    workers = worker_count(threads, chunks)
-    # one C call per index, so no two workers take the same chunk
-    take = itertools.count().__next__
-    parts = [None] * chunks
-    stop = threading.Event()
 
-    def run(buffer: np.ndarray) -> None:
-        try:
-            while not stop.is_set() and (chunk := take()) < chunks:
-                rng = np.random.Generator(np.random.SFC64(
-                    np.random.SeedSequence(seed, spawn_key=(chunk,))))
-                size = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
-                parts[chunk] = count(rng.random(out=buffer[:size]))
-        except BaseException:
-            stop.set()
-            raise
+    def draw(chunk: int, buffer: np.ndarray):
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        size = min(CHUNK_TRIALS, trials - chunk * CHUNK_TRIALS)
+        return count(rng.random(out=buffer[:size]))
 
-    # allocated on the calling thread: made on the workers, they would come
-    # from per-thread arenas and raise peak memory
-    buffers = [np.empty(min(CHUNK_TRIALS, trials)) for _ in range(workers)]
-    try:
-        map_chunks(run, buffers)
-    except BaseException:
-        stop.set()
-        raise
-    return parts
+    return deal(draw, -(-trials // CHUNK_TRIALS), threads,
+                lambda: np.empty(min(CHUNK_TRIALS, trials)))
 
 
 def _binomial_pmf(total: int, p: float) -> np.ndarray:

@@ -93,7 +93,8 @@ class TestCombine:
             gf256.addmul_bytes(acc, coeff, source)
         return acc
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    # three CPUs deal the 4-stripe length unevenly, on any machine
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("length", LENGTHS)
     def test_matches_byte_table_loop(self, pools, length, cpus):
         pools.reset(cpus)
@@ -105,10 +106,11 @@ class TestCombine:
             alone = gf256.combine([[coeff]], [source])
             assert np.array_equal(alone, self.reference([coeff], [source])[None])
         stripes = -(-length // gf256.STRIPE_BYTES)
-        if cpus == 2 and length >= gf256.LONG_MIN_BYTES and stripes > 1:
-            # two workers per combine: the calling thread and one pool job
-            assert pools.sizes == [2]
-            assert len(pools.started[0].jobs) == 1 + len(self.COEFFS)
+        if cpus > 1 and length >= gf256.LONG_MIN_BYTES and stripes > 1:
+            # a worker per CPU or stripe per combine: the calling thread and pool jobs
+            assert pools.sizes == [cpus]
+            jobs = min(cpus, stripes) - 1
+            assert len(pools.started[0].jobs) == jobs * (1 + len(self.COEFFS))
         else:
             assert pools.sizes == []
 

@@ -18,6 +18,7 @@ A fragment's wire frame is its one representation, and only ``fragments``
 reads it.  The simulator builds its own count tables: from the analytic
 models it takes only the values it checks against, the types of its
 arguments and the count cap, so its cross-check stays independent.
+Only ``durakit.parallel`` imports ``threading`` or ``concurrent.futures``.
 Every top-level name is needed: something in ``src/`` refers to it, the
 README documents it, or a short allowlist here says why it stays.  So is
 every class member: something in ``src/`` reads it as an attribute, the
@@ -149,6 +150,16 @@ def test_the_simulator_builds_its_own_tables():
     # helper of the analytic side within reach
     assert "durakit" not in names
     assert within(names, *MODELS) - set(MODELS) - allowed == set()
+
+
+def test_only_parallel_imports_threads():
+    # one module deals work to threads, with one counter and one stop rule
+    importers = {
+        ".".join(parts)
+        for path, parts in modules()
+        if within(imported_modules(path, parts), "threading", "concurrent")
+    }
+    assert importers == {"durakit.parallel"}
 
 
 def test_what_the_cli_loads_never_imports_numpy():

@@ -1,16 +1,14 @@
 import math
 import os
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from durakit import latency, parallel, simulate
+from durakit import latency, simulate
 from durakit.errors import RareEventError
 from durakit.latency import LatencyProfile, expected_latency_replication
-from durakit.parallel import worker_count
 from durakit.placement import Topology, balanced_placement, placement_unavailability
 from durakit.probability import (
     DiskFailureModel,
@@ -69,13 +67,6 @@ class TestDeterminism:
         a = simulate_loss(0.1, 2, 1, 100_000, seed=1)
         b = simulate_loss(0.1, 2, 1, 100_000, seed=2)
         assert a.events != b.events
-
-    def test_worker_count_clamped_to_chunks_and_cpus(self, pools):
-        pools.reset(3)
-        assert worker_count(1, 100) == 1
-        assert worker_count(10**9, 2) == 2
-        assert worker_count(10**9, 10**9) == 3
-        assert worker_count(2, 10**9) == 2
 
     def test_partial_final_chunk(self):
         # trials deliberately not a multiple of the chunk size
@@ -418,36 +409,6 @@ class TestEngine:
         monkeypatch.setattr(simulate, "_sample", checked_sample)
         run()
         assert counted == [simulate.CHUNK_TRIALS] * 3
-
-    @pytest.mark.parametrize("failure", ["draw raises", "wait interrupted"])
-    def test_a_failed_run_stops_every_job_within_a_chunk(self, failure, pools, monkeypatch):
-        # the interpreter waits for pool threads at exit, so a job that drew
-        # on after Ctrl-C would hold the process until the run's last chunk
-        pools.reset(2)
-        draws, first_draw = [], threading.Event()
-        lock = threading.Lock()
-
-        def count(uniforms):
-            with lock:
-                draws.append(len(uniforms))
-                first = len(draws) == 1
-            first_draw.set()
-            if failure == "draw raises" and first:
-                raise RuntimeError("chunk failed")
-            time.sleep(0.001)
-            return 0
-
-        def interrupted_wait(fn, chunks):
-            jobs = [parallel.submit(fn, chunk) for chunk in chunks]
-            assert first_draw.wait(10) and len(jobs) == 2
-            raise KeyboardInterrupt
-
-        if failure == "wait interrupted":
-            monkeypatch.setattr(simulate, "map_chunks", interrupted_wait)
-        with pytest.raises(RuntimeError if failure == "draw raises" else KeyboardInterrupt):
-            simulate._sample(400 * simulate.CHUNK_TRIALS, 0, 2, count)
-        pools.started[0].shutdown(wait=True)
-        assert len(draws) <= 10, len(draws)  # of 400
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_too_many_trials_rejected_before_any_draw(self, name, monkeypatch):
